@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-report bench bench-quick bench-kernels bench-serving conformance conformance-full regen-goldens smoke-parallel smoke-obs smoke-kernels smoke-analytics smoke-surrogate smoke-serving smoke-slo trend-check figures report wn-vectors examples clean
+.PHONY: install test test-report perfbench-test bench bench-quick bench-kernels bench-serving conformance conformance-full regen-goldens smoke-parallel smoke-obs smoke-kernels smoke-analytics smoke-surrogate smoke-serving smoke-slo trend-check figures report wn-vectors examples clean
 
 # Targets that run pytest / the library directly need the src layout on the
 # import path; the smoke scripts insert it themselves but inherit it too.
@@ -16,6 +16,12 @@ test:
 
 test-report:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
+
+# Self-tests of the repository benchmark (BENCHMARK.json + perfbench/):
+# metric lists, span accounting, per-layer attribution.  Pytest's
+# testpaths only names tests/, so they run here.
+perfbench-test:
+	$(PYTHON) -m pytest perfbench/tests -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s 2>&1 | tee bench_output.txt
@@ -76,7 +82,8 @@ smoke-obs:
 
 # Fast kernel sanity: tables compile (and the compile cache hits), LUT and
 # bit-walk miss counts are bit-identical on a randomized stream, the LUT
-# path is >=2x faster at k=16, and policy CacheStats agree lut-vs-walk.
+# path is >=2x faster at k=16 than the walk it falls back to without
+# numpy, and policy CacheStats agree lut-vs-walk.
 smoke-kernels:
 	$(PYTHON) scripts/smoke_kernels.py
 

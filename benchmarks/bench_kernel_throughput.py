@@ -3,11 +3,12 @@
 Measures the claims behind :mod:`repro.kernels` and
 :mod:`repro.engine.columnar`:
 
-1. simulator throughput (accesses/second) of the PLRU-IPV fitness loop
-   with the precompiled transition tables versus the Figure 5/7/9 bit-walk
-   reference, for k in {4, 8, 16} — asserting bit-identical miss counts;
-2. GA generation wall-time with ``kernel="lut"`` versus ``kernel="walk"``
-   evaluators — asserting the evolved best vector is identical;
+1. simulator throughput (accesses/second) of the scalar PLRU-IPV executor
+   on the precompiled transition tables versus its Figure 5/7/9 bit-walk
+   fallback, for k in {4, 8, 16} — asserting bit-identical miss counts;
+2. GA generation wall-time of an evaluator on the scalar table path versus
+   the same evaluator on the bit-walk — asserting the evolved best vector
+   is identical;
 3. a GA-population batch (many IPV lanes over one shared trace pass)
    through :class:`repro.engine.columnar.BatchSimulator` versus a per-lane
    walk loop — the headline multi-lane speedup, again bit-identical.
@@ -17,6 +18,10 @@ Runs two ways:
 * under pytest-benchmark as part of ``make bench``;
 * as a script (``make bench-kernels``), writing ``BENCH_kernels.json``
   plus a provenance manifest sidecar at the repository root.
+
+The walk runs where it runs in production at k=16 — with numpy disabled
+at the ``repro.kernels.tables._np`` seam, so no 16-way tables compile —
+and under ``repro.verify.differential.forced_bit_walk`` at smaller k.
 
 ``REPRO_SCALE`` scales the stream and trace lengths as in the other
 benches.
@@ -30,6 +35,7 @@ import os
 import random
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 if __name__ == "__main__":  # script mode: make src importable
@@ -37,10 +43,12 @@ if __name__ == "__main__":  # script mode: make src importable
         0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     )
 
+from repro.engine import columnar as _columnar  # noqa: E402
 from repro.engine.columnar import (  # noqa: E402
     BatchSimulator,
     ColumnarTrace,
     columnar_supported,
+    simulate_misses_plru_columnar,
 )
 from repro.ga.fitness import (  # noqa: E402
     FitnessEvaluator,
@@ -48,6 +56,8 @@ from repro.ga.fitness import (  # noqa: E402
 )
 from repro.ga.genetic import evolve_ipv  # noqa: E402
 from repro.kernels import compile_tables, kernel_provenance  # noqa: E402
+from repro.kernels import tables as _ktables  # noqa: E402
+from repro.verify.differential import forced_bit_walk  # noqa: E402
 
 #: Default accesses per simulated stream (script mode; pytest uses fewer).
 DEFAULT_ACCESSES = 200_000
@@ -80,6 +90,21 @@ def make_stream(accesses: int, num_sets: int, assoc: int, seed: int = 42):
     return stream
 
 
+@contextmanager
+def _numpy_disabled():
+    saved = _ktables._np
+    _ktables._np = None
+    try:
+        yield
+    finally:
+        _ktables._np = saved
+
+
+def walking(assoc: int):
+    """The bit-walk for ``assoc`` ways: the numpy seam at 16, forced below."""
+    return _numpy_disabled() if assoc == 16 else forced_bit_walk()
+
+
 def bench_ipv(k: int, seed: int = 9):
     """A deterministic non-trivial IPV for a k-way set."""
     rng = random.Random(seed + k)
@@ -93,15 +118,16 @@ def measure_sim_throughput(assoc: int, accesses: int) -> dict:
     warmup = accesses // 10
     compile_tables(assoc, entries)  # compile outside the timed region
 
-    t0 = time.perf_counter()
-    walk_misses = simulate_misses_plru_ipv(
-        stream, NUM_SETS, assoc, entries, warmup, kernel="walk"
-    )
-    walk_sec = time.perf_counter() - t0
+    with walking(assoc):
+        t0 = time.perf_counter()
+        walk_misses = simulate_misses_plru_ipv(
+            stream, NUM_SETS, assoc, entries, warmup
+        )
+        walk_sec = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     lut_misses = simulate_misses_plru_ipv(
-        stream, NUM_SETS, assoc, entries, warmup, kernel="lut"
+        stream, NUM_SETS, assoc, entries, warmup
     )
     lut_sec = time.perf_counter() - t0
 
@@ -120,8 +146,8 @@ def measure_sim_throughput(assoc: int, accesses: int) -> dict:
     }
     if columnar_supported(assoc):
         t0 = time.perf_counter()
-        columnar_misses = simulate_misses_plru_ipv(
-            stream, NUM_SETS, assoc, entries, warmup, kernel="columnar"
+        columnar_misses = simulate_misses_plru_columnar(
+            stream, NUM_SETS, assoc, entries, warmup
         )
         columnar_sec = time.perf_counter() - t0
         if columnar_misses != walk_misses:
@@ -155,14 +181,13 @@ def measure_population_batch(
     # `lanes` can exceed the kernel LRU capacity and churn the cache).
     simulator = BatchSimulator(NUM_SETS, assoc, population, warmup)
 
-    t0 = time.perf_counter()
-    walk_misses = [
-        simulate_misses_plru_ipv(
-            stream, NUM_SETS, assoc, entries, warmup, kernel="walk"
-        )
-        for entries in population
-    ]
-    walk_sec = time.perf_counter() - t0
+    with walking(assoc):
+        t0 = time.perf_counter()
+        walk_misses = [
+            simulate_misses_plru_ipv(stream, NUM_SETS, assoc, entries, warmup)
+            for entries in population
+        ]
+        walk_sec = time.perf_counter() - t0
 
     # Trace preprocessing is part of the measured columnar cost — unlike
     # table compilation it cannot be cached across fresh streams.
@@ -365,11 +390,10 @@ def measure_ga_generation(trace_length: int = 6_000) -> dict:
 
     benchmarks = ["429.mcf", "462.libquantum"]
 
-    def run(kernel: str):
+    def run():
         evaluator = FitnessEvaluator(
             benchmarks=benchmarks,
             config=default_config(trace_length=trace_length),
-            kernel=kernel,
         )
         t0 = time.perf_counter()
         result = evolve_ipv(
@@ -378,8 +402,16 @@ def measure_ga_generation(trace_length: int = 6_000) -> dict:
         )
         return time.perf_counter() - t0, result
 
-    walk_sec, walk_result = run("walk")
-    lut_sec, lut_result = run("lut")
+    with _numpy_disabled():  # no 16-way tables and no columnar engine
+        walk_sec, walk_result = run()
+    # Hold every batch under the columnar lane threshold: the scalar
+    # table path.
+    threshold = _columnar.MIN_BATCH_LANES
+    _columnar.MIN_BATCH_LANES = 1 << 30
+    try:
+        lut_sec, lut_result = run()
+    finally:
+        _columnar.MIN_BATCH_LANES = threshold
     if tuple(walk_result.best.entries) != tuple(lut_result.best.entries):
         raise AssertionError(
             "GA best vector differs between walk and LUT evaluators: "
@@ -419,12 +451,13 @@ if pytest is not None:
         stream = make_stream(accesses, NUM_SETS, assoc)
         warmup = accesses // 10
         compile_tables(assoc, entries)
-        walk = simulate_misses_plru_ipv(
-            stream, NUM_SETS, assoc, entries, warmup, kernel="walk"
-        )
+        with walking(assoc):
+            walk = simulate_misses_plru_ipv(
+                stream, NUM_SETS, assoc, entries, warmup
+            )
         lut = benchmark(
             simulate_misses_plru_ipv,
-            stream, NUM_SETS, assoc, entries, warmup, kernel="lut",
+            stream, NUM_SETS, assoc, entries, warmup,
         )
         # Bit-exactness is the bench's correctness bar.
         assert lut == walk

@@ -40,6 +40,7 @@ if __name__ == "__main__":  # script mode: make src importable
 from repro.core.ipv import lru_ipv  # noqa: E402
 from repro.engine.scalar import ScalarStreamSimulator  # noqa: E402
 from repro.ga.fitness import simulate_misses_plru_ipv  # noqa: E402
+from repro.kernels import tables as ktables  # noqa: E402
 from repro.serve.frontend import ShardedFrontend  # noqa: E402
 from repro.serve.telemetry import ServeTelemetry  # noqa: E402
 from repro.serve.workload import (  # noqa: E402
@@ -179,11 +180,17 @@ def measure_scalar_baselines(accesses: int, sample: int) -> dict:
         prefix.extend(int(a) for a in chunk)
     gen_sec = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    walk_misses = simulate_misses_plru_ipv(
-        prefix, NUM_SETS, ASSOC, ENTRIES, 0, kernel="walk"
-    )
-    walk_sec = time.perf_counter() - t0
+    # 16-way tables need numpy; with it disabled at the kernel seam the
+    # scalar executor runs its bit-walk.
+    saved_np, ktables._np = ktables._np, None
+    try:
+        t0 = time.perf_counter()
+        walk_misses = simulate_misses_plru_ipv(
+            prefix, NUM_SETS, ASSOC, ENTRIES, 0
+        )
+        walk_sec = time.perf_counter() - t0
+    finally:
+        ktables._np = saved_np
 
     scalar = ScalarStreamSimulator(NUM_SETS, ASSOC, ENTRIES, warmup=0)
     t0 = time.perf_counter()

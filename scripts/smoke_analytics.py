@@ -115,6 +115,7 @@ def columnar_checks():
     )
     from repro.obs.metrics import MetricsRegistry, parse_prometheus
     from repro.policies import DGIPPRPolicy, GIPPRPolicy
+    from repro.verify.differential import forced_bit_walk
 
     rng = random.Random(11)
     stream = make_stream(8_000, NUM_SETS, ASSOC, seed=11)
@@ -135,10 +136,10 @@ def columnar_checks():
     )
     counters = simulator.counters
     for lane, entries in enumerate(lanes):
-        policy = GIPPRPolicy(
-            NUM_SETS, ASSOC, ipv=IPV(list(entries), name=f"lane{lane}"),
-            kernel="walk",
-        )
+        with forced_bit_walk():
+            policy = GIPPRPolicy(
+                NUM_SETS, ASSOC, ipv=IPV(list(entries), name=f"lane{lane}")
+            )
         cache = SetAssociativeCache(NUM_SETS, ASSOC, policy, block_size=1)
         for address in stream:
             cache.access(address)
@@ -170,11 +171,11 @@ def columnar_checks():
     duel_misses = duel.run(stream, counters=True)
     duel_counters = duel.counters
     for lane, (a, b) in enumerate(pairs):
-        policy = DGIPPRPolicy(
-            NUM_SETS, ASSOC,
-            ipvs=[IPV(list(a), name="a"), IPV(list(b), name="b")],
-            kernel="walk",
-        )
+        with forced_bit_walk():
+            policy = DGIPPRPolicy(
+                NUM_SETS, ASSOC,
+                ipvs=[IPV(list(a), name="a"), IPV(list(b), name="b")],
+            )
         cache = SetAssociativeCache(NUM_SETS, ASSOC, policy, block_size=1)
         for address in stream:
             cache.access(address)

@@ -6,20 +6,24 @@ actually fast:
 
 1. tables compile for k in {4, 8, 16} and the compile cache hits on
    recompilation;
-2. a randomized access stream produces bit-identical miss counts under the
-   LUT kernel and the Figure 5/7/9 bit-walk reference, for every k;
+2. a randomized access stream produces bit-identical miss counts on the
+   table path and the Figure 5/7/9 bit-walk fallback, for every k;
 3. the LUT path is at least 2x faster than the walk at k=16 (the full
    bench, ``make bench-kernels``, measures the headline >=3x);
-4. the policy objects agree: a GIPPR run with ``kernel="lut"`` and
-   ``kernel="walk"`` produce identical CacheStats.
+4. the policy objects agree: a GIPPR run on tables and one on the walk
+   produce identical CacheStats.
 
-Exits non-zero on any failure.
+The walk runs where it runs in production at k=16 — with numpy disabled
+at the ``repro.kernels.tables._np`` seam, so no 16-way tables compile —
+and under ``forced_bit_walk`` at smaller k.  Exits non-zero on any
+failure.
 """
 
 import os
 import random
 import sys
 import time
+from contextlib import contextmanager
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -31,7 +35,9 @@ from repro.kernels import (  # noqa: E402
     kernel_cache_info,
     kernel_provenance,
 )
+from repro.kernels import tables as ktables  # noqa: E402
 from repro.policies import GIPPRPolicy  # noqa: E402
+from repro.verify.differential import forced_bit_walk  # noqa: E402
 
 NUM_SETS = 128
 ACCESSES = 60_000
@@ -50,6 +56,21 @@ def make_stream(accesses, num_sets, assoc, seed=17):
 def make_ipv(k, seed=5):
     rng = random.Random(seed + k)
     return tuple(rng.randrange(k) for _ in range(k + 1))
+
+
+@contextmanager
+def numpy_disabled():
+    saved = ktables._np
+    ktables._np = None
+    try:
+        yield
+    finally:
+        ktables._np = saved
+
+
+def walking(k):
+    """The bit-walk for ``k`` ways: the numpy seam at 16, forced below."""
+    return numpy_disabled() if k == 16 else forced_bit_walk()
 
 
 def main():
@@ -79,13 +100,12 @@ def main():
         stream = make_stream(ACCESSES, NUM_SETS, k)
         warmup = ACCESSES // 10
         walk_idx, lut_idx = [], []
-        walk = simulate_misses_plru_ipv(
-            stream, NUM_SETS, k, entries, warmup,
-            miss_indices=walk_idx, kernel="walk",
-        )
+        with walking(k):
+            walk = simulate_misses_plru_ipv(
+                stream, NUM_SETS, k, entries, warmup, miss_indices=walk_idx,
+            )
         lut = simulate_misses_plru_ipv(
-            stream, NUM_SETS, k, entries, warmup,
-            miss_indices=lut_idx, kernel="lut",
+            stream, NUM_SETS, k, entries, warmup, miss_indices=lut_idx,
         )
         assert (walk, walk_idx) == (lut, lut_idx), (
             f"k={k}: walk {walk} misses != lut {lut} misses"
@@ -95,11 +115,12 @@ def main():
     # 3. Throughput: LUT >= 2x walk at k=16.
     entries = make_ipv(16)
     stream = make_stream(ACCESSES, NUM_SETS, 16)
+    with numpy_disabled():
+        t0 = time.perf_counter()
+        simulate_misses_plru_ipv(stream, NUM_SETS, 16, entries, 0)
+        walk_sec = time.perf_counter() - t0
     t0 = time.perf_counter()
-    simulate_misses_plru_ipv(stream, NUM_SETS, 16, entries, 0, kernel="walk")
-    walk_sec = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    simulate_misses_plru_ipv(stream, NUM_SETS, 16, entries, 0, kernel="lut")
+    simulate_misses_plru_ipv(stream, NUM_SETS, 16, entries, 0)
     lut_sec = time.perf_counter() - t0
     speedup = walk_sec / lut_sec
     print(f"throughput k=16: {speedup:.2f}x (walk {walk_sec:.3f}s, "
@@ -112,7 +133,11 @@ def main():
     ipv = IPV(make_ipv(16), name="smoke")
     stats = {}
     for kernel in ("walk", "lut"):
-        policy = GIPPRPolicy(NUM_SETS, 16, ipv=ipv, kernel=kernel)
+        if kernel == "walk":
+            with numpy_disabled():
+                policy = GIPPRPolicy(NUM_SETS, 16, ipv=ipv)
+        else:
+            policy = GIPPRPolicy(NUM_SETS, 16, ipv=ipv)
         assert policy.kernel_mode == kernel, policy.kernel_mode
         cache = SetAssociativeCache(NUM_SETS, 16, policy, block_size=1)
         for addr in make_stream(20_000, NUM_SETS, 16, seed=23):

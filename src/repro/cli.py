@@ -221,9 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="differential conformance: fuzz policies against oracles",
         description="Differentially fuzz registered policies against the "
                     "reference oracles over the deterministic stream family, "
-                    "check per-access invariants, LUT-vs-walk kernel "
-                    "identity, Belady dominance and the committed golden "
-                    "corpus.  Failures are shrunk to minimal replayable "
+                    "check per-access invariants, that the transition-"
+                    "table path matches the bit-walk fallback it takes "
+                    "without tables, Belady dominance and the committed "
+                    "golden corpus.  Failures are shrunk to minimal replayable "
                     "counterexample artifacts.  Exit code 1 on any failure.",
     )
     verify_target = verify.add_mutually_exclusive_group()

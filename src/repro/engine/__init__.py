@@ -1,15 +1,16 @@
-"""Vectorized simulation engines.
+"""The two PLRU-IPV executors.
 
-:mod:`repro.engine.columnar` is the numpy-columnar batch simulator: all
+:mod:`repro.engine.columnar` is the numpy-columnar batch executor: all
 cache sets (and many IPV/config lanes) advance in lockstep over an access
 trace, with the per-access policy math served by the precompiled
-transition tables of :mod:`repro.kernels`.  The scalar simulators in
-:mod:`repro.ga.fitness` remain the bit-exact reference.
+transition tables of :mod:`repro.kernels`.
 
-:mod:`repro.engine.scalar` adds a numpy-free *streaming* scalar
-simulator (:class:`ScalarStreamSimulator`) whose per-batch ``feed``
-matches both the one-shot scalar kernels and the columnar ``feed``
-stream bit-for-bit — the serving front-end's engine of last resort.
+:mod:`repro.engine.scalar` is the numpy-free scalar executor
+(:class:`ScalarStreamSimulator`): one-shot for the GA fitness simulator,
+streaming for the serving front-end, on the tables when they compile and
+on the bit-walk otherwise — bit-for-bit equal to the columnar engine.
+:mod:`repro.core.plru` and :mod:`repro.verify.oracles` stay the
+independent reference both are checked against.
 """
 
 from .columnar import (

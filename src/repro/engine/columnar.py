@@ -8,8 +8,9 @@ per-set fill counts live in 2-D/3-D numpy arrays indexed
 whole batches of accesses are applied with ``np.take``/fancy indexing
 against the exact same ``array('H')`` transition tables the scalar LUT
 kernel uses.  Because the tables *are* the scalar walks (memoized), every
-miss count produced here is bit-identical to the bit-walk reference in
-:mod:`repro.ga.fitness`; the differential/golden suites in
+miss count produced here is bit-identical to the scalar executor
+:class:`~repro.engine.scalar.ScalarStreamSimulator` on either of its
+paths (tables or bit-walk); the differential/golden suites in
 ``tests/engine`` and ``tests/verify`` pin that.
 
 Lockstep-over-sets scheduling
@@ -39,9 +40,11 @@ access, bit-identical to :class:`~repro.policies.plru.DGIPPRPolicy`
 driven through :class:`~repro.cache.cache.SetAssociativeCache`.
 
 numpy is a hard requirement here.  When it is absent the engine raises
-:class:`ColumnarUnavailable` — it must never silently degrade to a
-scalar path the caller did not ask for (the scalar fallbacks live behind
-``kernel="auto"`` in :mod:`repro.ga.fitness`, not here).
+:class:`ColumnarUnavailable` — it never degrades to a scalar path by
+itself.  Callers choose: :meth:`repro.ga.fitness.FitnessEvaluator.evaluate_many`
+(and the GA worker pool) batch through this engine only when
+:func:`columnar_supported` holds and the batch has at least
+:data:`MIN_BATCH_LANES` lanes, and run the scalar executor otherwise.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from ..kernels import tables as _tables
 __all__ = [
     "DEFAULT_BATCH_ACCESSES",
     "DEFAULT_DEPTH_SAMPLE",
+    "MIN_BATCH_LANES",
     "BatchCounters",
     "BatchSimulator",
     "ColumnarTrace",
@@ -65,7 +69,6 @@ __all__ = [
     "columnar_supported",
     "require_numpy",
     "resolve_batch_accesses",
-    "resolve_min_lanes",
     "simulate_misses_plru_columnar",
 ]
 
@@ -77,12 +80,11 @@ __all__ = [
 #: bincount/argsort-bound), so the smallest flat point wins on memory.
 DEFAULT_BATCH_ACCESSES = 1 << 16
 
-#: ``kernel="auto"`` batches through the columnar engine only at or above
-#: this many lanes — below it the per-run numpy setup outweighs the
-#: amortized trace pass and the scalar LUT path wins (bench-kernels
-#: ``population_scaling`` row: the crossover sits between 2 and 8 lanes
-#: on every host measured).
-DEFAULT_AUTO_MIN_LANES = 4
+#: Batches go through this engine only at or above this many lanes —
+#: below it the per-run numpy setup outweighs the amortized trace pass and
+#: the scalar executor wins (bench-kernels ``population_scaling`` row: the
+#: crossover sits between 2 and 8 lanes on every host measured).
+MIN_BATCH_LANES = 4
 
 
 def _env_positive_int(name: str) -> Optional[int]:
@@ -109,27 +111,9 @@ def resolve_batch_accesses(value: Optional[int] = None) -> int:
     return env if env is not None else DEFAULT_BATCH_ACCESSES
 
 
-def resolve_min_lanes(
-    value: Optional[int] = None, default: int = DEFAULT_AUTO_MIN_LANES
-) -> int:
-    """Auto-batch lane threshold: kwarg > ``$REPRO_COLUMNAR_MIN_LANES`` >
-    ``default`` (:data:`DEFAULT_AUTO_MIN_LANES`, or the caller's own
-    fallback — :class:`~repro.ga.fitness.FitnessEvaluator` passes its
-    overridable class attribute)."""
-    if value is not None:
-        if value < 1:
-            raise ValueError("columnar_min_lanes must be positive")
-        return int(value)
-    env = _env_positive_int("REPRO_COLUMNAR_MIN_LANES")
-    return env if env is not None else default
-
-
 def columnar_config() -> dict:
     """The effective columnar tuning knobs (for build manifests)."""
-    return {
-        "batch_accesses": resolve_batch_accesses(),
-        "min_lanes": resolve_min_lanes(),
-    }
+    return {"batch_accesses": resolve_batch_accesses()}
 
 #: Default hit-depth sampling stride for :class:`BatchCounters`: depths
 #: are decoded on every ``depth_sample``-th lockstep step (a systematic
@@ -246,7 +230,7 @@ def require_numpy():
         raise ColumnarUnavailable(
             "the columnar engine requires numpy, which is not importable "
             "(or is disabled via REPRO_FORCE_NO_NUMPY); use the scalar "
-            "kernels ('auto'/'lut'/'walk') instead"
+            "executor repro.engine.scalar.ScalarStreamSimulator instead"
         )
     return np
 
@@ -522,8 +506,7 @@ class BatchSimulator:
     Each lane is one IPV; all lanes share the geometry, the warmup window
     and — crucially — the preprocessed trace.  Identical IPVs share one
     compiled table set (GA populations routinely carry duplicates).
-    Results are bit-identical to the scalar walk/LUT simulators of
-    :mod:`repro.ga.fitness`, per lane.
+    Results are bit-identical to the scalar executor, per lane.
     """
 
     def __init__(
@@ -670,6 +653,13 @@ class BatchSimulator:
         if self._stream is None:
             raise RuntimeError("no stream open; call feed()/begin_stream()")
         return self._stream["misses"].copy()
+
+    def stream_cold_fills(self):
+        """Cumulative per-lane cold fills (misses that filled an empty
+        way, warmup included) over the open stream."""
+        if self._stream is None:
+            raise RuntimeError("no stream open; call feed()/begin_stream()")
+        return self._stream["nfill"].sum(axis=1)
 
     def end_stream(self):
         """Close the stream, returning cumulative per-lane misses."""
@@ -990,11 +980,12 @@ def simulate_misses_plru_columnar(
     miss_indices: Optional[List[int]] = None,
     batch_accesses: Optional[int] = None,
 ) -> int:
-    """Single-lane columnar twin of the scalar PLRU-IPV simulators.
+    """Single-lane columnar twin of
+    :func:`repro.ga.fitness.simulate_misses_plru_ipv`.
 
-    Bit-identical miss counts (and ``miss_indices`` contents) to
-    ``kernel="walk"``/``"lut"``; raises :class:`ColumnarUnavailable`
-    without numpy rather than silently degrading.
+    Bit-identical miss counts (and ``miss_indices`` contents) to the
+    scalar executor; raises :class:`ColumnarUnavailable` without numpy
+    rather than silently degrading.
     """
     simulator = BatchSimulator(num_sets, assoc, [entries], warmup)
     trace = ColumnarTrace(addresses, num_sets, batch_accesses)

@@ -1,25 +1,32 @@
-"""Pure-Python streaming scalar simulator for tree-PLRU IPV policies.
+"""The scalar executor for tree-PLRU IPV policies (pure Python).
 
-The scalar kernels in :mod:`repro.ga.fitness` are one-shot functions: a
-trace in, a miss count out, state discarded.  The serving front-end
-(:mod:`repro.serve`) needs the *streaming* shape instead — feed bounded
-batches forever, carry the cache state across batches — and it needs it
-without numpy, because the scalar path is the engine-of-last-resort when
-:class:`~repro.engine.columnar.BatchSimulator` is unavailable.
+:class:`ScalarStreamSimulator` is the one per-access PLRU loop in the
+package.  It serves both shapes callers need:
 
-:class:`ScalarStreamSimulator` is that shape.  Per batch it performs
-exactly the transitions of ``kernel="lut"`` (table lookups when
-:func:`repro.kernels.tables.compile_tables` succeeds) or the inlined
-Figure 5/7/9 bit-walk reference otherwise, so miss counts are
-bit-identical to both the one-shot scalar kernels and the columnar
-``feed`` stream over the same concatenated accesses — pinned by
-``tests/engine/test_streaming_feed.py`` and the serving conformance
-cells.
+* *one-shot* — :func:`repro.ga.fitness.simulate_misses_plru_ipv` builds a
+  simulator, feeds the whole trace once and reads the measured misses
+  (and, for MLP-aware fitness, the ``miss_indices``);
+* *streaming* — the serving front-end (:mod:`repro.serve`) feeds bounded
+  batches forever and carries the cache state across them, without
+  numpy, because this is the engine of last resort when
+  :class:`~repro.engine.columnar.BatchSimulator` is unavailable.
+
+The path is picked from what the code observes, never set by a caller:
+when :func:`repro.kernels.tables.compile_tables` returns tables
+each access is a table lookup (the composed Figure 7/9 transitions);
+when it returns ``None`` — associativity above
+:data:`~repro.kernels.MAX_TABLE_ASSOC`, or 16 ways without numpy — the
+inlined Figure 5/7/9 bit-walk runs instead.  :attr:`kernel_mode` says
+which.  Both paths are bit-identical to each other, to the columnar
+``feed`` stream over the same concatenated accesses and to the
+independent reference in :mod:`repro.verify.oracles` — pinned by
+``tests/engine/test_streaming_feed.py``, ``tests/kernels`` and the
+conformance cells.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..core.plru import is_power_of_two
 from ..kernels import tables as _tables
@@ -32,10 +39,10 @@ class ScalarStreamSimulator:
 
     State (PLRU words, tag maps, fill counts) persists across
     :meth:`feed` calls; :meth:`reset` returns to cold.  ``warmup`` is
-    interpreted against the global stream position, exactly like the
-    one-shot kernels interpret it against the access index — feeding a
-    trace in any chunking yields the same measured miss count as one
-    cold pass over the whole trace.
+    interpreted against the global stream position — feeding a trace in
+    any chunking yields the same measured miss count as one cold pass
+    over the whole trace.  When ``miss_indices`` is given, the stream
+    position of every measured miss is appended to it.
     """
 
     def __init__(
@@ -44,6 +51,7 @@ class ScalarStreamSimulator:
         assoc: int,
         entries: Sequence[int],
         warmup: int = 0,
+        miss_indices: Optional[List[int]] = None,
     ):
         if not is_power_of_two(num_sets):
             raise ValueError(
@@ -51,26 +59,21 @@ class ScalarStreamSimulator:
             )
         if not is_power_of_two(assoc):
             raise ValueError(f"assoc must be a power of two, got {assoc}")
-        entries = tuple(int(e) for e in entries)
-        if len(entries) != assoc + 1:
-            raise ValueError(
-                f"IPV needs {assoc + 1} entries for {assoc}-way sets, "
-                f"got {len(entries)}"
-            )
-        if any(e < 0 or e >= assoc for e in entries):
-            raise ValueError(f"IPV entries must lie in [0, {assoc}), "
-                             f"got {entries}")
+        entries = _tables.normalize_ipv_entries(assoc, entries)
         if warmup < 0:
             raise ValueError(f"warmup must be non-negative, got {warmup}")
         self.num_sets = num_sets
         self.assoc = assoc
         self.entries = entries
         self.warmup = warmup
-        # LUT stepping when tables compile (powers of two <= 16; k > 8
-        # needs numpy to build tables, in which case compile_tables
-        # returns None and the bit-walk below takes over).
+        self.miss_indices = miss_indices
         self._lut = _tables.compile_tables(assoc, entries)
         self.reset()
+
+    @property
+    def kernel_mode(self) -> str:
+        """``"lut"`` when stepping on compiled tables, else ``"walk"``."""
+        return "walk" if self._lut is None else "lut"
 
     def reset(self) -> "ScalarStreamSimulator":
         """Return to cold state and stream position 0."""
@@ -103,7 +106,7 @@ class ScalarStreamSimulator:
 
         Addresses must be non-negative ints (numpy integer scalars are
         fine).  Summing the per-batch returns over a stream equals the
-        one-shot kernel's measured misses over the concatenation.
+        measured misses of one cold feed of the concatenation.
         """
         # numpy arrays iterate as np.int64 scalars whose arithmetic is
         # several times slower than Python ints in this loop; one bulk
@@ -124,6 +127,7 @@ class ScalarStreamSimulator:
         tag_to_way = self._tag_to_way
         way_to_tag = self._way_to_tag
         warmup = self.warmup
+        indices = self.miss_indices
         i = self.pos
         batch_misses = 0
         measured = 0
@@ -138,6 +142,8 @@ class ScalarStreamSimulator:
                 batch_misses += 1
                 if i >= warmup:
                     measured += 1
+                    if indices is not None:
+                        indices.append(i)
                 tags = way_to_tag[si]
                 if len(ways) < assoc:
                     way = len(ways)  # cold fill: ways fill in order
@@ -168,6 +174,7 @@ class ScalarStreamSimulator:
         tag_to_way = self._tag_to_way
         way_to_tag = self._way_to_tag
         warmup = self.warmup
+        indices = self.miss_indices
         i = self.pos
         batch_misses = 0
         measured = 0
@@ -182,6 +189,8 @@ class ScalarStreamSimulator:
                 batch_misses += 1
                 if i >= warmup:
                     measured += 1
+                    if indices is not None:
+                        indices.append(i)
                 tags = way_to_tag[si]
                 if len(ways) < assoc:
                     way = len(ways)  # cold fill: ways fill in order

@@ -5,13 +5,15 @@ LRU across a set of workload traces, with CPI estimated as a linear
 function of miss count — exactly the paper's simplified fitness, which it
 notes runs in minutes where a performance simulation takes hours.
 
-The evaluator embeds two specialised simulators (true-LRU-IPV and
-PLRU-IPV) that skip the general cache machinery: the GA calls them millions
-of times, so the hot loops run on plain lists and ints.  The PLRU simulator
-additionally dispatches to the precompiled transition-table kernels of
-:mod:`repro.kernels` when available, replacing the three ``log2(k)``
-bit-walks per access with O(1) ``array('H')`` lookups (the bit-walk
-reference below remains the ground truth and the fallback).
+The evaluator skips the general cache machinery: the GA calls its
+simulators millions of times.  The true-LRU-IPV simulator is a plain
+list loop here; the PLRU-IPV simulator is a one-shot call into the scalar
+executor :class:`repro.engine.scalar.ScalarStreamSimulator` (table
+lookups when :mod:`repro.kernels` compiles tables, bit-walks otherwise),
+and :meth:`FitnessEvaluator.evaluate_many` batches whole populations
+through the columnar engine when numpy is present and the batch has at
+least :data:`repro.engine.columnar.MIN_BATCH_LANES` lanes.  The code
+picks the path; every path is bit-identical.
 
 Workload sharing: generated traces, their MLP instruction positions and
 the baseline LRU miss counts are memoized at module level keyed by the
@@ -27,8 +29,9 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.ipv import IPV, lru_ipv
+from ..engine.scalar import ScalarStreamSimulator
 from ..eval.config import ExperimentConfig, default_config
-from ..kernels import record_kernel_call, resolve_kernel
+from ..kernels import normalize_ipv_entries, record_kernel_call
 from ..timing import LinearCPIModel
 from ..workloads.spec import SPEC_BENCHMARKS, benchmark_names
 
@@ -40,22 +43,6 @@ __all__ = [
     "columnar_memo_stats",
     "publish_columnar_memo_gauges",
 ]
-
-
-def _validate_ipv_entries(entries: Sequence[int], assoc: int) -> None:
-    """Reject malformed IPVs up front: silent mis-simulation is worse than
-    a :class:`ValueError` (an out-of-range ``V[i]`` used to corrupt the
-    recency state without any diagnostic)."""
-    if len(entries) != assoc + 1:
-        raise ValueError(
-            f"IPV for a {assoc}-way set needs {assoc + 1} entries, "
-            f"got {len(entries)}"
-        )
-    for i, e in enumerate(entries):
-        if not 0 <= e < assoc:
-            raise ValueError(
-                f"IPV entry V[{i}]={e} out of range 0..{assoc - 1}"
-            )
 
 
 def _validate_window(addresses: Sequence[int], warmup: int) -> None:
@@ -91,7 +78,7 @@ def simulate_misses_lru_ipv(
     the access index of every measured miss is appended to it (for
     MLP-aware fitness).
     """
-    _validate_ipv_entries(entries, assoc)
+    entries = normalize_ipv_entries(assoc, entries)
     _validate_window(addresses, warmup)
     promo = list(entries[:assoc])
     insert = entries[assoc]
@@ -123,122 +110,6 @@ def simulate_misses_lru_ipv(
     return misses
 
 
-def _simulate_misses_plru_walk(
-    addresses: Sequence[int],
-    num_sets: int,
-    assoc: int,
-    entries: Sequence[int],
-    warmup: int,
-    miss_indices: Optional[List[int]] = None,
-) -> int:
-    """Bit-walk reference: inlined Figure 5/7/9 over packed plru bits."""
-    promo = list(entries[:assoc])
-    insert = entries[assoc]
-    mask = num_sets - 1
-    states = [0] * num_sets
-    tag_to_way: List[Dict[int, int]] = [dict() for _ in range(num_sets)]
-    way_to_tag: List[List[int]] = [[-1] * assoc for _ in range(num_sets)]
-    misses = 0
-    for i, addr in enumerate(addresses):
-        si = addr & mask
-        ways = tag_to_way[si]
-        state = states[si]
-        way = ways.get(addr)
-        if way is None:
-            if i >= warmup:
-                misses += 1
-                if miss_indices is not None:
-                    miss_indices.append(i)
-            tags = way_to_tag[si]
-            if len(ways) < assoc:
-                way = len(ways)  # cold fill: ways fill in order
-            else:
-                # find_plru walk
-                n = 1
-                while n < assoc:
-                    n = (n << 1) | ((state >> (n - 1)) & 1)
-                way = n - assoc
-                del ways[tags[way]]
-            tags[way] = addr
-            ways[addr] = way
-            new_pos = insert
-        else:
-            # position decode (Figure 7)
-            q = assoc + way
-            pos = 0
-            b = 0
-            while q > 1:
-                parent = q >> 1
-                bit = (state >> (parent - 1)) & 1
-                if not (q & 1):
-                    bit ^= 1
-                pos |= bit << b
-                q = parent
-                b += 1
-            new_pos = promo[pos]
-        # set_position (Figure 9)
-        q = assoc + way
-        b = 0
-        while q > 1:
-            parent = q >> 1
-            bit = (new_pos >> b) & 1
-            if not (q & 1):
-                bit ^= 1
-            pmask = 1 << (parent - 1)
-            state = (state | pmask) if bit else (state & ~pmask)
-            q = parent
-            b += 1
-        states[si] = state
-    return misses
-
-
-def _simulate_misses_plru_lut(
-    addresses: Sequence[int],
-    num_sets: int,
-    assoc: int,
-    tables,
-    warmup: int,
-    miss_indices: Optional[List[int]] = None,
-) -> int:
-    """LUT kernel: every Figure 5/7/9 walk replaced by one table index.
-
-    Performs *exactly* the reference's state transitions (the composed
-    ``hit``/``fill`` tables are the walks, memoized), so miss counts are
-    bit-identical — asserted exhaustively in ``tests/kernels``.
-    """
-    victim = tables.victim
-    hit = tables.hit
-    fill = tables.fill
-    shift = tables.log2k
-    mask = num_sets - 1
-    states = [0] * num_sets
-    tag_to_way: List[Dict[int, int]] = [dict() for _ in range(num_sets)]
-    way_to_tag: List[List[int]] = [[-1] * assoc for _ in range(num_sets)]
-    misses = 0
-    for i, addr in enumerate(addresses):
-        si = addr & mask
-        ways = tag_to_way[si]
-        way = ways.get(addr)
-        state = states[si]
-        if way is None:
-            if i >= warmup:
-                misses += 1
-                if miss_indices is not None:
-                    miss_indices.append(i)
-            tags = way_to_tag[si]
-            if len(ways) < assoc:
-                way = len(ways)  # cold fill: ways fill in order
-            else:
-                way = victim[state]
-                del ways[tags[way]]
-            tags[way] = addr
-            ways[addr] = way
-            states[si] = fill[(state << shift) | way]
-        else:
-            states[si] = hit[(state << shift) | way]
-    return misses
-
-
 def simulate_misses_plru_ipv(
     addresses: Sequence[int],
     num_sets: int,
@@ -246,39 +117,22 @@ def simulate_misses_plru_ipv(
     entries: Sequence[int],
     warmup: int,
     miss_indices: Optional[List[int]] = None,
-    kernel: str = "auto",
 ) -> int:
     """Misses in the measured window for an IPV on tree-PLRU state.
 
-    ``kernel`` selects the implementation: ``"auto"`` (default) uses the
-    precompiled transition tables of :mod:`repro.kernels` when available
-    and falls back to the bit-walk reference otherwise; ``"lut"`` demands
-    tables (raises when unsupported); ``"walk"`` forces the reference;
-    ``"columnar"`` runs the numpy batch engine of
-    :mod:`repro.engine.columnar` (raises without numpy — it never
-    silently degrades).  All paths are bit-identical.  ``miss_indices``,
-    when given, collects the access index of every measured miss (for
+    One cold pass of :class:`~repro.engine.scalar.ScalarStreamSimulator`
+    over ``addresses``: table lookups when transition tables compile for
+    ``assoc``, the bit-walk fallback otherwise (which one ran is counted
+    in :func:`repro.kernels.kernel_counters`).  ``miss_indices``, when
+    given, collects the access index of every measured miss (for
     MLP-aware fitness).
     """
-    _validate_ipv_entries(entries, assoc)
-    _validate_window(addresses, warmup)
-    if kernel == "columnar":
-        from ..engine.columnar import simulate_misses_plru_columnar
-
-        record_kernel_call("columnar")
-        return simulate_misses_plru_columnar(
-            addresses, num_sets, assoc, entries, warmup, miss_indices
-        )
-    tables = resolve_kernel(kernel, assoc, entries)
-    if tables is not None:
-        record_kernel_call("lut")
-        return _simulate_misses_plru_lut(
-            addresses, num_sets, assoc, tables, warmup, miss_indices
-        )
-    record_kernel_call("walk")
-    return _simulate_misses_plru_walk(
-        addresses, num_sets, assoc, entries, warmup, miss_indices
+    simulator = ScalarStreamSimulator(
+        num_sets, assoc, entries, warmup, miss_indices=miss_indices
     )
+    _validate_window(addresses, warmup)
+    record_kernel_call(simulator.kernel_mode)
+    return simulator.feed(addresses)
 
 
 # ----------------------------------------------------------------------
@@ -487,21 +341,11 @@ class FitnessEvaluator:
         the fitness function").  Accesses get bursty instruction positions
         (see :func:`repro.trace.assign_instruction_positions`) so miss
         clustering actually matters.
-    kernel:
-        Kernel selection for the PLRU substrate: ``"auto"`` (transition
-        tables when available), ``"lut"`` (demand tables), ``"walk"``
-        (force the bit-walk reference) or ``"columnar"`` (the numpy batch
-        engine; :meth:`evaluate_many` then shares one columnar trace pass
-        across the whole population).  All choices are bit-identical.
-    """
 
-    #: ``kernel="auto"`` batches through the columnar engine only at or
-    #: above this many lanes — below it the per-run numpy setup outweighs
-    #: the amortized trace pass and the scalar LUT path wins.  Class-level
-    #: default; per-instance it resolves through ``columnar_min_lanes`` /
-    #: ``$REPRO_COLUMNAR_MIN_LANES`` (see
-    #: :func:`repro.engine.columnar.resolve_min_lanes`).
-    COLUMNAR_AUTO_MIN_LANES = 4
+    :meth:`evaluate_many` picks its executor itself: the columnar engine
+    when :meth:`columnar_batchable` says so, the scalar executor
+    otherwise, with bit-identical results.
+    """
 
     def __init__(
         self,
@@ -510,23 +354,10 @@ class FitnessEvaluator:
         substrate: str = "plru",
         mlp_aware: bool = False,
         burstiness: float = 0.5,
-        kernel: str = "auto",
-        columnar_min_lanes: Optional[int] = None,
     ):
         if substrate not in ("plru", "lru"):
             raise ValueError("substrate must be 'plru' or 'lru'")
-        if kernel not in ("auto", "lut", "walk", "columnar"):
-            raise ValueError(
-                f"kernel must be 'auto', 'lut', 'walk' or 'columnar', "
-                f"got {kernel!r}"
-            )
         self.substrate = substrate
-        self.kernel = kernel
-        from ..engine.columnar import resolve_min_lanes
-
-        self.columnar_min_lanes = resolve_min_lanes(
-            columnar_min_lanes, default=self.COLUMNAR_AUTO_MIN_LANES
-        )
         self.config = config or default_config(trace_length=30_000)
         self.benchmark_names = list(benchmarks or benchmark_names())
         self.timing: LinearCPIModel = self.config.timing
@@ -602,7 +433,7 @@ class FitnessEvaluator:
         if self.substrate == "plru":
             return simulate_misses_plru_ipv(
                 addresses, num_sets, assoc, entries, warmup,
-                miss_indices=miss_indices, kernel=self.kernel,
+                miss_indices=miss_indices,
             )
         return simulate_misses_lru_ipv(
             addresses, num_sets, assoc, entries, warmup,
@@ -660,8 +491,6 @@ class FitnessEvaluator:
             "substrate": self.substrate,
             "mlp_aware": self.mlp_aware,
             "burstiness": self.burstiness,
-            "kernel": self.kernel,
-            "columnar_min_lanes": self.columnar_min_lanes,
         }
 
     @classmethod
@@ -678,17 +507,13 @@ class FitnessEvaluator:
             substrate=spec["substrate"],
             mlp_aware=spec["mlp_aware"],
             burstiness=spec["burstiness"],
-            kernel=spec["kernel"],
-            columnar_min_lanes=spec.get("columnar_min_lanes"),
         )
 
     def evaluate(self, ipv) -> float:
         """Fitness of an IPV (IPV object or raw entry sequence)."""
-        entries = tuple(ipv.entries if isinstance(ipv, IPV) else ipv)
-        if len(entries) != self.config.assoc + 1:
-            raise ValueError(
-                f"IPV must have {self.config.assoc + 1} entries, got {len(entries)}"
-            )
+        entries = normalize_ipv_entries(
+            self.config.assoc, ipv.entries if isinstance(ipv, IPV) else ipv
+        )
         cycles: Dict[str, float] = {}
         for name, weight, addresses, instructions, positions in self._workloads:
             value = self._cycles_for(entries, addresses, instructions, positions)
@@ -703,26 +528,25 @@ class FitnessEvaluator:
     # pass serves every IPV lane, so a GA generation amortizes trace
     # decoding across the whole population.
     # ------------------------------------------------------------------
-    def _columnar_batchable(self, lanes: int) -> bool:
-        """Can (and should) a batch of ``lanes`` IPVs go columnar?
+    def columnar_batchable(self, lanes: int) -> bool:
+        """Does a batch of ``lanes`` IPVs go through the columnar engine?
 
-        ``kernel="columnar"`` always says yes — the engine then raises its
-        own clear error if numpy is missing, rather than silently running
-        scalar.  ``"auto"`` opts in only when the engine is actually
-        available and the batch is big enough to amortize the numpy setup;
-        MLP-aware fitness stays scalar (it needs per-miss indices fed
+        Only for the PLRU substrate with linear-CPI fitness, when the
+        engine runs here (numpy present, tables compile for the
+        associativity) and the batch has at least
+        :data:`~repro.engine.columnar.MIN_BATCH_LANES` lanes — below that
+        the per-run numpy setup outweighs the shared trace pass.
+        MLP-aware fitness stays scalar: it needs per-miss indices fed
         through the position model, a per-lane post-pass not worth the
-        gather today).
+        gather today.
         """
         if self.substrate != "plru" or self.mlp_model is not None:
             return False
-        if self.kernel == "columnar":
-            return True
-        if self.kernel != "auto" or lanes < self.columnar_min_lanes:
-            return False
-        from ..engine.columnar import columnar_supported
+        from ..engine.columnar import MIN_BATCH_LANES, columnar_supported
 
-        return columnar_supported(self.config.assoc)
+        return lanes >= MIN_BATCH_LANES and columnar_supported(
+            self.config.assoc
+        )
 
     def _columnar_trace(self, index: int, addresses: List[int]):
         """The workload's step-transposed layout, via the bounded memo.
@@ -742,26 +566,21 @@ class FitnessEvaluator:
         """Fitness of many IPVs, batched through the columnar engine.
 
         Bit-identical to ``[self.evaluate(ipv) for ipv in ipvs]`` — the
-        per-lane miss counts match the scalar kernels exactly and the
+        per-lane miss counts match the scalar executor exactly and the
         cycle accumulation runs in the same workload order with the same
         float operations — but one engine pass per workload serves the
         whole batch.  Falls back to that scalar loop whenever the batch
-        cannot go columnar (see :meth:`_columnar_batchable`).
+        cannot go columnar (see :meth:`columnar_batchable`).
         """
         batch = [
-            tuple(ipv.entries if isinstance(ipv, IPV) else ipv)
+            normalize_ipv_entries(
+                self.config.assoc, ipv.entries if isinstance(ipv, IPV) else ipv
+            )
             for ipv in ipvs
         ]
         if not batch:
             return []
-        for entries in batch:
-            if len(entries) != self.config.assoc + 1:
-                raise ValueError(
-                    f"IPV must have {self.config.assoc + 1} entries, "
-                    f"got {len(entries)}"
-                )
-            _validate_ipv_entries(entries, self.config.assoc)
-        if not self._columnar_batchable(len(batch)):
+        if not self.columnar_batchable(len(batch)):
             return [self.evaluate(entries) for entries in batch]
         from ..engine.columnar import BatchSimulator
 

@@ -13,6 +13,9 @@ pool following the PR-1 runner's discipline (:mod:`repro.eval.parallel`):
   :mod:`repro.ga.fitness` and the transition-table compile cache in
   :mod:`repro.kernels` are shared across every evaluation that worker
   performs: one compiled table set + one trace copy serve the whole run.
+* Workers publish their kernel counters (``repro_kernel_*_calls``) with
+  their other metrics, so :attr:`PopulationEvaluator.worker_metrics`
+  shows which executor scored the population.
 * Results are returned in submission order (``pool.map``), so the caller's
   selection logic is order-stable and ``seed ⇒ output`` determinism holds
   for any worker count.
@@ -29,6 +32,7 @@ import time
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
+from ..kernels import publish_kernel_metrics
 from ..obs.metrics import MetricsRegistry
 from ..obs.spans import SpanRecorder, current_recorder, install_recorder, span
 from .fitness import FitnessEvaluator
@@ -104,6 +108,7 @@ def _worker_evaluate(entries: Tuple[int, ...]) -> float:
         "repro_ga_worker_evaluate_seconds_total",
         "Wall seconds spent evaluating fitness in GA worker processes",
     ).inc(time.perf_counter() - started)
+    publish_kernel_metrics(registry)
     writer.publish(registry=registry, recorder=recorder, force=False)
     return fitness
 
@@ -134,6 +139,7 @@ def _worker_evaluate_many(chunk: Tuple[Tuple[int, ...], ...]) -> List[float]:
         "repro_ga_worker_evaluate_seconds_total",
         "Wall seconds spent evaluating fitness in GA worker processes",
     ).inc(time.perf_counter() - started)
+    publish_kernel_metrics(registry)
     writer.publish(registry=registry, recorder=recorder, force=False)
     return fitnesses
 
@@ -209,11 +215,12 @@ class PopulationEvaluator:
             # evaluator is eligible and falls back to the per-IPV scalar
             # loop otherwise — bit-identical either way.
             return self.evaluator.evaluate_many(batch)
-        if self.evaluator.kernel == "columnar":
+        chunks = self._columnar_chunks(batch)
+        if self.evaluator.columnar_batchable(len(chunks[0])):
             # Columnar workers want big lane counts, not small chunks:
-            # split the population into one contiguous slice per worker so
-            # each pays for one engine pass over the (memoized) traces.
-            chunks = self._columnar_chunks(batch)
+            # one contiguous slice per worker (the first is the largest),
+            # each paying for one engine pass over the (memoized) traces —
+            # the decision evaluate_many makes again for each slice.
             with span("ga.evaluate_batch", batch=len(batch),
                       workers=self.workers, columnar=True):
                 parts = self._pool.map(_worker_evaluate_many, chunks,

@@ -81,9 +81,9 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.ipv import IPV, lru_ipv
-from ..kernels.tables import numpy_or_none
+from ..kernels.tables import normalize_ipv_entries, numpy_or_none
 from ..obs.spans import span
-from .fitness import FitnessEvaluator, _validate_ipv_entries
+from .fitness import FitnessEvaluator
 
 __all__ = [
     "SURROGATE_SCHEMA",
@@ -541,12 +541,12 @@ class SurrogateModel:
 
     # ------------------------------------------------------------------
     def _entries_matrix(self, ipvs: Sequence) -> List[Tuple[int, ...]]:
-        out = []
-        for ipv in ipvs:
-            entries = tuple(ipv.entries if isinstance(ipv, IPV) else ipv)
-            _validate_ipv_entries(entries, self.assoc)
-            out.append(entries)
-        return out
+        return [
+            normalize_ipv_entries(
+                self.assoc, ipv.entries if isinstance(ipv, IPV) else ipv
+            )
+            for ipv in ipvs
+        ]
 
     def _batch_arrays(self, np, batch: List[Tuple[int, ...]]):
         """Population-shaped arrays reused by every workload pass."""

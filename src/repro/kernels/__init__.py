@@ -23,11 +23,11 @@ from .tables import (
     kernel_cache_info,
     kernel_counters,
     kernel_provenance,
+    normalize_ipv_entries,
     numpy_or_none,
     publish_kernel_metrics,
     record_kernel_call,
     reset_kernel_counters,
-    resolve_kernel,
     tables_supported,
 )
 
@@ -41,10 +41,10 @@ __all__ = [
     "kernel_cache_info",
     "kernel_counters",
     "kernel_provenance",
+    "normalize_ipv_entries",
     "numpy_or_none",
     "publish_kernel_metrics",
     "record_kernel_call",
     "reset_kernel_counters",
-    "resolve_kernel",
     "tables_supported",
 ]

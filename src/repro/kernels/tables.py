@@ -31,10 +31,14 @@ set fits in 15 bits) and cached in a bounded LRU keyed by
 ``(k, ipv_entries)`` — DGIPPR duels 2-4 vectors, the GA's elites recur, and
 classic PLRU is the all-zeros vector, so the cache absorbs recompiles.
 
-When tables are unavailable (``k > MAX_TABLE_ASSOC``, or ``k == 16``
-without numpy) callers fall back to the bit-walk reference implementations
-in :mod:`repro.core.plru`; the counters here record which kernel actually
-ran so provenance manifests can state it (see :func:`kernel_provenance`).
+Callers pick the path from what they observe: they step on the tables
+whenever :func:`compile_tables` returns them and on the inlined bit-walk
+fallback otherwise (``k > MAX_TABLE_ASSOC``, or ``k == 16`` without
+numpy).  The only scalar executor is
+:class:`repro.engine.scalar.ScalarStreamSimulator`; the per-access
+policies in :mod:`repro.policies.plru` index the same tables.  The
+counters here record which path actually ran so provenance manifests can
+state it (see :func:`kernel_provenance`).
 """
 
 from __future__ import annotations
@@ -79,13 +83,13 @@ __all__ = [
     "kernel_cache_info",
     "kernel_counters",
     "kernel_provenance",
+    "normalize_ipv_entries",
     "numpy_or_none",
     "path_write_tables",
     "promotion_orbit",
     "publish_kernel_metrics",
     "record_kernel_call",
     "reset_kernel_counters",
-    "resolve_kernel",
     "tables_supported",
 ]
 
@@ -161,11 +165,17 @@ def tables_supported(k: int) -> bool:
     return True
 
 
-def _normalize_entries(k: int, entries: Optional[Sequence[int]]) -> Tuple[int, ...]:
+def normalize_ipv_entries(
+    k: int, entries: Optional[Sequence[int]] = None
+) -> Tuple[int, ...]:
     """Validate and freeze IPV entries; ``None`` means classic PLRU.
 
-    Classic tree PLRU *is* the all-zeros vector: ``promote(state, way)`` is
-    exactly ``set_position(state, way, 0)`` (Figure 6 vs Figure 9).
+    The one IPV validator: every simulator, policy and the GA reject a
+    malformed vector here with a :class:`ValueError` rather than silently
+    mis-simulating (an out-of-range ``V[i]`` would corrupt the recency
+    state without any diagnostic).  Classic tree PLRU *is* the all-zeros
+    vector: ``promote(state, way)`` is exactly ``set_position(state, way,
+    0)`` (Figure 6 vs Figure 9).
     """
     if entries is None:
         return (0,) * (k + 1)
@@ -300,7 +310,7 @@ def promotion_orbit(
     ``i < 2k``, and for ``n >= 2k``
     ``V^n(p) == orbit[p][entry[p] + (n - entry[p]) % cycle[p]]``.
     """
-    entries = _normalize_entries(k, entries)
+    entries = normalize_ipv_entries(k, entries)
     promo = entries[:k]
     orbit: List[List[int]] = []
     entry: List[int] = []
@@ -410,16 +420,14 @@ def compile_tables(
     """Compile (or fetch from the LRU cache) tables for ``(k, entries)``.
 
     ``entries=None`` compiles classic tree PLRU (the all-zeros vector).
-    Returns ``None`` when tables are unsupported for ``k`` (caller falls
-    back to the bit-walk reference).  Raises :class:`ValueError` for
-    malformed IPV entries — malformed vectors must never silently
-    mis-simulate.
+    Returns ``None`` when tables are unsupported for ``k`` (the caller
+    then runs the bit-walk fallback).  Raises :class:`ValueError` for
+    malformed IPV entries (:func:`normalize_ipv_entries`), supported or
+    not — malformed vectors must never silently mis-simulate.
     """
+    key = (k, normalize_ipv_entries(k, entries))  # validate even when unsupported
     if not tables_supported(k):
-        if entries is not None and is_power_of_two(k):
-            _normalize_entries(k, entries)  # still validate before bailing
         return None
-    key = (k, _normalize_entries(k, entries))
     with _LOCK:
         tables = _IPV_CACHE.get(key)
         if tables is not None:
@@ -437,33 +445,6 @@ def compile_tables(
         while len(_IPV_CACHE) > KERNEL_CACHE_CAPACITY:
             _IPV_CACHE.popitem(last=False)
         return tables
-
-
-def resolve_kernel(
-    kernel: str, k: int, entries: Optional[Sequence[int]] = None
-) -> Optional[KernelTables]:
-    """Map a user-facing kernel setting to tables (or ``None`` for walk).
-
-    ``"auto"`` compiles tables when supported and otherwise falls back;
-    ``"lut"`` demands tables (raises if unsupported); ``"walk"`` forces the
-    bit-walk reference.
-    """
-    if kernel == "walk":
-        if entries is not None and is_power_of_two(k):
-            _normalize_entries(k, entries)
-        return None
-    if kernel == "lut":
-        tables = compile_tables(k, entries)
-        if tables is None:
-            raise ValueError(
-                f"LUT kernel unavailable for associativity {k} "
-                f"(supported: powers of two <= {MAX_TABLE_ASSOC}"
-                f"{', numpy required above %d' % PURE_PYTHON_MAX_ASSOC if _np is None else ''})"
-            )
-        return tables
-    if kernel == "auto":
-        return compile_tables(k, entries)
-    raise ValueError(f"kernel must be 'auto', 'lut' or 'walk', got {kernel!r}")
 
 
 def clear_kernel_cache() -> int:

@@ -87,6 +87,7 @@ from .slo import HdrHistogram, SLOEvaluator, SLOSpec
 from .provenance import (
     build_manifest,
     config_hash,
+    git_dirty,
     git_revision,
     manifest_path_for,
     write_manifest,
@@ -176,6 +177,7 @@ __all__ = [
     "disabled_overhead_ratio",
     "build_manifest",
     "config_hash",
+    "git_dirty",
     "git_revision",
     "manifest_path_for",
     "write_manifest",

@@ -4,9 +4,9 @@ Every cached simulation result and every generated report can carry a
 sidecar ``*.manifest.json`` answering "what exactly produced this number?":
 the canonical experiment configuration and its hash, the policy and its
 kwargs, the seed, a digest of the simulator source
-(:func:`repro.eval.parallel.code_version`), the git revision, host,
-platform and wall time.  Manifests are plain JSON — diffable, greppable,
-and stable across processes.
+(:func:`repro.eval.parallel.code_version`), the git revision and whether
+the working tree was dirty, host, platform and wall time.  Manifests are
+plain JSON — diffable, greppable, and stable across processes.
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 __all__ = [
     "MANIFEST_SCHEMA",
     "build_manifest",
     "config_hash",
+    "git_dirty",
     "git_revision",
     "manifest_path_for",
     "write_manifest",
@@ -38,49 +39,77 @@ logger = logging.getLogger(__name__)
 #: Bump when the manifest layout changes.
 MANIFEST_SCHEMA = "repro-manifest/1"
 
-_git_rev_memo: Optional[str] = None
+_git_memo: Optional[Tuple[str, Optional[bool]]] = None
 
 #: Set after the first resolution so *spawned worker processes* inherit
-#: the answer through their environment instead of each paying a
-#: ``git rev-parse`` subprocess on their first manifest write (a matrix
-#: run fans out hundreds of manifest-writing jobs).
+#: the answer through their environment instead of each paying two git
+#: subprocesses on their first manifest write (a matrix run fans out
+#: hundreds of manifest-writing jobs).  The value is the revision, with a
+#: ``-dirty`` suffix when the working tree had changes (the
+#: ``git describe --dirty`` convention).
 GIT_REVISION_ENV = "REPRO_GIT_REVISION"
+_DIRTY_SUFFIX = "-dirty"
+
+#: Where git is asked; tests point it at a scratch repository.
+_GIT_ROOT = Path(__file__).resolve().parent
 
 
-def git_revision() -> str:
-    """The repository HEAD revision, or ``"unknown"`` outside a checkout.
-
-    Cached per process (one subprocess spawn, ever) and propagated to
-    child processes via ``$REPRO_GIT_REVISION``; never raises.
-    """
-    global _git_rev_memo
-    if _git_rev_memo is not None:
-        return _git_rev_memo
-    env = os.environ.get(GIT_REVISION_ENV)
-    if env:
-        _git_rev_memo = env
-        return _git_rev_memo
-    root = Path(__file__).resolve().parent
+def _git(*args: str) -> Optional[str]:
+    """``git args`` stdout in :data:`_GIT_ROOT`, or ``None`` on failure."""
     try:
         proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=root,
+            ["git", *args],
+            cwd=_GIT_ROOT,
             capture_output=True,
             text=True,
             timeout=5,
         )
-        rev = proc.stdout.strip() if proc.returncode == 0 else ""
     except (OSError, subprocess.SubprocessError):
-        rev = ""
-    _git_rev_memo = rev or "unknown"
-    os.environ.setdefault(GIT_REVISION_ENV, _git_rev_memo)
-    return _git_rev_memo
+        return None
+    return proc.stdout if proc.returncode == 0 else None
+
+
+def _git_state() -> Tuple[str, Optional[bool]]:
+    """``(revision, dirty)``, cached per process and propagated to child
+    processes via ``$REPRO_GIT_REVISION``; never raises."""
+    global _git_memo
+    if _git_memo is not None:
+        return _git_memo
+    env = os.environ.get(GIT_REVISION_ENV)
+    if env:
+        if env.endswith(_DIRTY_SUFFIX):
+            _git_memo = (env[: -len(_DIRTY_SUFFIX)], True)
+        else:
+            _git_memo = (env, None if env == "unknown" else False)
+        return _git_memo
+    rev = (_git("rev-parse", "HEAD") or "").strip()
+    if not rev:
+        _git_memo = ("unknown", None)
+    else:
+        status = _git("status", "--porcelain")
+        _git_memo = (rev, None if status is None else bool(status.strip()))
+    rev, dirty = _git_memo
+    os.environ.setdefault(
+        GIT_REVISION_ENV, rev + (_DIRTY_SUFFIX if dirty else "")
+    )
+    return _git_memo
+
+
+def git_revision() -> str:
+    """The repository HEAD revision, or ``"unknown"`` outside a checkout."""
+    return _git_state()[0]
+
+
+def git_dirty() -> Optional[bool]:
+    """Whether the working tree differed from HEAD (tracked changes or
+    untracked files), or ``None`` outside a checkout."""
+    return _git_state()[1]
 
 
 def _reset_git_revision_memo() -> None:
     """Test hook: forget the per-process memo (and the env propagation)."""
-    global _git_rev_memo
-    _git_rev_memo = None
+    global _git_memo
+    _git_memo = None
     os.environ.pop(GIT_REVISION_ENV, None)
 
 
@@ -138,6 +167,7 @@ def build_manifest(
         "argv": list(sys.argv),
         "code_version": code_version(),
         "git_revision": git_revision(),
+        "git_dirty": git_dirty(),
         "config": _canonical_config(config),
         "config_hash": config_hash(config),
         "policy": policy,

@@ -91,8 +91,7 @@ class _Shard:
 
     def cold_fills(self) -> int:
         if self.engine == "columnar":
-            stream = self.sim._stream
-            return int(stream["nfill"].sum()) if stream else 0
+            return int(self.sim.stream_cold_fills()[0])
         return self.sim.cold_fills
 
 

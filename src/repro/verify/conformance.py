@@ -7,8 +7,9 @@ This module knows, for every policy in :mod:`repro.policies.registry`:
   published k=16 paper vectors where they apply; deterministic stress
   vectors elsewhere — all serialisable so counterexample artifacts can
   rebuild the exact policy),
-* whether it supports the LUT/walk kernel switch, bypasses, or requires
-  future knowledge (Belady).
+* whether it runs on the transition tables (so its table path is checked
+  against its bit-walk fallback), bypasses, or requires future knowledge
+  (Belady).
 
 :func:`verify_policy` fuzzes one policy across the deterministic stream
 family (:mod:`repro.verify.streams`) over several seeds and geometries,
@@ -78,7 +79,8 @@ KERNEL_GEOMETRY: Tuple[int, int] = (4, 16)
 #: Streams used for the (more expensive) run-level dominance check.
 _DOMINANCE_STREAMS = ("cyclic-over-capacity", "zipf-hot")
 
-#: Policies whose production path can run on the precompiled LUT kernels.
+#: Policies whose production path steps on the transition tables, with a
+#: bit-walk fallback that must match it.
 _KERNEL_POLICIES = frozenset({"plru", "gippr", "dgippr"})
 
 #: Policies that may bypass (Belady dominance does not apply to them).
@@ -138,14 +140,11 @@ def build_policy(
     num_sets: int,
     assoc: int,
     kwargs: Optional[dict] = None,
-    kernel: Optional[str] = None,
 ) -> ReplacementPolicy:
     """Instantiate a registry policy from serialisable conformance kwargs."""
     if kwargs is None:
         kwargs = policy_kwargs(name, num_sets, assoc)
     kwargs = _deserialize_kwargs(kwargs)
-    if kernel is not None and name in _KERNEL_POLICIES:
-        kwargs["kernel"] = kernel
     return make_policy(name, num_sets, assoc, **kwargs)
 
 
@@ -402,12 +401,10 @@ def verify_policy(
                 num_sets, assoc,
             )
 
-            def kernel_factory(kernel: str = "auto"):
-                return build_policy(
-                    name, num_sets, assoc, kwargs, kernel=kernel
-                )
+            def factory():
+                return build_policy(name, num_sets, assoc, kwargs)
 
-            mismatch = check_lut_walk_equality(kernel_factory, accesses)
+            mismatch = check_lut_walk_equality(factory, accesses)
             if mismatch is not None:
                 report.lut_walk_failures.append(
                     f"{num_sets}x{assoc}: {mismatch}"

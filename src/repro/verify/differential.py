@@ -18,17 +18,20 @@ corruption is caught even for policies without an oracle.
 Two run-level checks complete the battery:
 
 * :func:`check_lut_walk_equality` — the precompiled transition-table
-  kernels must be bit-identical to the reference bit-walks (same misses,
-  hits, evictions *and* final per-set state digests), and
+  path must be bit-identical to the bit-walk fallback (same misses,
+  hits, evictions *and* final per-set state digests; the walk is reached
+  through :func:`forced_bit_walk`), and
 * :func:`check_belady_dominance` — Belady's MIN never misses more than a
   practical (non-bypassing) policy on a next-use-annotated stream.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence
+from contextlib import contextmanager, nullcontext
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
 from ..cache.cache import SetAssociativeCache
+from ..kernels import tables as _tables
 from ..policies.base import ReplacementPolicy
 from .invariants import Invariant, check_invariants, default_invariants
 from .oracles import OracleCache
@@ -41,6 +44,7 @@ __all__ = [
     "check_columnar_equality",
     "check_duel_columnar_equality",
     "check_belady_dominance",
+    "forced_bit_walk",
 ]
 
 
@@ -203,21 +207,46 @@ def _state_digest(policy: ReplacementPolicy) -> Optional[tuple]:
     )
 
 
+@contextmanager
+def forced_bit_walk() -> Iterator[None]:
+    """Make the scalar PLRU paths built inside the block run the bit-walk.
+
+    :func:`repro.kernels.tables.compile_tables` still validates the vector
+    but returns ``None`` — what it returns for associativities it has no
+    tables for — so policies and
+    :class:`~repro.engine.scalar.ScalarStreamSimulator` constructed here
+    take their bit-walk fallback at *any* associativity.  For
+    verification only; the columnar engine needs tables and cannot run
+    inside the block.
+    """
+    compile_tables = _tables.compile_tables
+
+    def no_tables(k, entries=None):
+        _tables.normalize_ipv_entries(k, entries)
+        return None
+
+    _tables.compile_tables = no_tables
+    try:
+        yield
+    finally:
+        _tables.compile_tables = compile_tables
+
+
 def check_lut_walk_equality(
-    policy_factory: Callable[..., ReplacementPolicy],
+    policy_factory: Callable[[], ReplacementPolicy],
     accesses: Sequence[int],
 ) -> Optional[str]:
-    """Bit-identity of the LUT kernel against the reference bit-walks.
+    """Bit-identity of the table path against the bit-walk fallback.
 
-    ``policy_factory`` must accept a ``kernel`` keyword (the tree-PLRU
-    family does).  Returns a mismatch description or ``None``.  When the
-    LUT kernel is unavailable for the geometry (``resolve_kernel`` returned
-    ``None`` and both runs walked), the comparison still holds trivially
-    and ``None`` is returned.
+    ``policy_factory`` builds one tree-PLRU-family policy; it is called
+    once as is and once under :func:`forced_bit_walk`.  Returns a
+    mismatch description or ``None``.  When no tables compile for the
+    geometry both runs walk and the comparison holds trivially.
     """
     results = {}
     for mode in ("lut", "walk"):
-        policy = policy_factory(kernel=mode)
+        with forced_bit_walk() if mode == "walk" else nullcontext():
+            policy = policy_factory()
         cache = _build_cache(policy)
         misses = sum(not cache.access(block) for block in accesses)
         stats = cache.stats
@@ -245,29 +274,36 @@ def check_columnar_equality(
     entries: Sequence[int],
     accesses: Sequence[int],
 ) -> Optional[str]:
-    """Bit-identity of the columnar engine against the scalar kernels.
+    """Bit-identity of the columnar engine against the scalar executor.
 
-    Runs one IPV over ``accesses`` through the walk reference, the LUT
-    kernel and the columnar batch engine, and compares miss counts, the
-    measured miss-index streams *and* the final recency-position
-    permutation of every set (engine state vs a walk-kernel
+    Runs one IPV over ``accesses`` through the scalar executor's bit-walk
+    (under :func:`forced_bit_walk`) and table paths and through the
+    columnar batch engine, and compares miss counts, the measured
+    miss-index streams *and* the final recency-position permutation of
+    every set (engine state vs a bit-walk
     :class:`~repro.policies.plru.GIPPRPolicy` driven through the
     production cache).  Returns a mismatch description or ``None``.
     Trivially ``None`` when the engine is unavailable here (no numpy /
     unsupported geometry) — its *error* behaviour is covered separately.
     """
-    from ..engine.columnar import BatchSimulator, columnar_supported
+    from ..engine.columnar import (
+        BatchSimulator,
+        columnar_supported,
+        simulate_misses_plru_columnar,
+    )
     from ..ga.fitness import simulate_misses_plru_ipv
 
     if not columnar_supported(assoc) or not accesses:
         return None
     results = {}
-    for mode in ("walk", "lut", "columnar"):
+    for mode, simulate in (
+        ("walk", simulate_misses_plru_ipv),
+        ("lut", simulate_misses_plru_ipv),
+        ("columnar", simulate_misses_plru_columnar),
+    ):
         indices: List[int] = []
-        misses = simulate_misses_plru_ipv(
-            accesses, num_sets, assoc, entries, warmup=0,
-            miss_indices=indices, kernel=mode,
-        )
+        with forced_bit_walk() if mode == "walk" else nullcontext():
+            misses = simulate(accesses, num_sets, assoc, entries, 0, indices)
         results[mode] = (misses, indices)
     for mode in ("lut", "columnar"):
         for field, got, want in (
@@ -287,10 +323,10 @@ def check_columnar_equality(
 
     simulator = BatchSimulator(num_sets, assoc, [tuple(entries)])
     simulator.run(accesses)
-    policy = GIPPRPolicy(
-        num_sets, assoc, ipv=IPV(list(entries), name="columnar-check"),
-        kernel="walk",
-    )
+    with forced_bit_walk():
+        policy = GIPPRPolicy(
+            num_sets, assoc, ipv=IPV(list(entries), name="columnar-check")
+        )
     cache = _build_cache(policy)
     for block in accesses:
         cache.access(block)
@@ -334,11 +370,13 @@ def check_duel_columnar_equality(
         num_sets, assoc, [tuple(tuple(v) for v in ipv_pair)]
     )
     engine_misses = int(simulator.run(accesses)[0])
-    policy = DGIPPRPolicy(
-        num_sets, assoc,
-        ipvs=[IPV(list(v), name=f"duel{i}") for i, v in enumerate(ipv_pair)],
-        kernel="walk",
-    )
+    with forced_bit_walk():
+        policy = DGIPPRPolicy(
+            num_sets, assoc,
+            ipvs=[
+                IPV(list(v), name=f"duel{i}") for i, v in enumerate(ipv_pair)
+            ],
+        )
     cache = _build_cache(policy)
     misses = sum(not cache.access(block) for block in accesses)
     if engine_misses != misses:

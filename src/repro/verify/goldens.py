@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -323,8 +324,9 @@ def compute_columnar_golden(cell: ColumnarCell, engine: str = "columnar"):
     """One cell's value through one engine.
 
     ``ipv`` cells return the per-lane miss-count list; ``engine`` selects
-    ``"columnar"`` (ragged-chunk batch run), ``"walk"`` or ``"lut"``
-    (scalar loop per lane).  ``duel`` cells return
+    ``"columnar"`` (ragged-chunk batch run), ``"lut"`` (the scalar
+    executor per lane) or ``"walk"`` (the same under
+    :func:`~repro.verify.differential.forced_bit_walk`).  ``duel`` cells return
     ``{"misses": [...], "psel": [...]}`` via the duel engine
     (``"columnar"``) or the production DGIPPR policy (any other value).
     """
@@ -343,13 +345,15 @@ def compute_columnar_golden(cell: ColumnarCell, engine: str = "columnar"):
             )
             return [int(m) for m in simulator.run(trace)]
         from ..ga.fitness import simulate_misses_plru_ipv
+        from .differential import forced_bit_walk
 
-        return [
-            simulate_misses_plru_ipv(
-                accesses, num_sets, assoc, entries, warmup, kernel=engine
-            )
-            for entries in lanes
-        ]
+        with forced_bit_walk() if engine == "walk" else nullcontext():
+            return [
+                simulate_misses_plru_ipv(
+                    accesses, num_sets, assoc, entries, warmup
+                )
+                for entries in lanes
+            ]
     if kind != "duel":
         raise ValueError(f"unknown columnar golden kind {kind!r}")
     pairs = _columnar_duel_lanes(assoc)
@@ -365,15 +369,16 @@ def compute_columnar_golden(cell: ColumnarCell, engine: str = "columnar"):
     from ..cache.cache import SetAssociativeCache
     from ..core.ipv import IPV
     from ..policies.plru import DGIPPRPolicy
+    from .differential import forced_bit_walk
 
     misses: List[int] = []
     psels: List[int] = []
     for pair in pairs:
-        policy = DGIPPRPolicy(
-            num_sets, assoc,
-            ipvs=[IPV(list(v), name=f"g{i}") for i, v in enumerate(pair)],
-            kernel="walk",
-        )
+        with forced_bit_walk():
+            policy = DGIPPRPolicy(
+                num_sets, assoc,
+                ipvs=[IPV(list(v), name=f"g{i}") for i, v in enumerate(pair)],
+            )
         cache = SetAssociativeCache(
             num_sets, assoc, policy, block_size=1, name="goldens"
         )

@@ -2,7 +2,7 @@
 
 The columnar engine's contract is *exactness*, not approximation: every
 miss count, miss index, final recency position and PSEL value must match
-the scalar walk reference bit for bit — across associativities, ragged
+the scalar executor's bit-walk bit for bit — across associativities, ragged
 chunk tails, warmup windows, duplicate lanes and set-dueling.  These
 tests are therefore equality proofs over randomized and adversarial
 streams, plus the no-numpy / bad-input error contract.
@@ -15,7 +15,6 @@ import pytest
 from repro.cache import SetAssociativeCache
 from repro.core.ipv import IPV, lip_ipv, lru_ipv
 from repro.engine.columnar import (
-    DEFAULT_AUTO_MIN_LANES,
     DEFAULT_BATCH_ACCESSES,
     BatchSimulator,
     ColumnarTrace,
@@ -25,12 +24,12 @@ from repro.engine.columnar import (
     columnar_supported,
     require_numpy,
     resolve_batch_accesses,
-    resolve_min_lanes,
     simulate_misses_plru_columnar,
 )
 from repro.ga.fitness import simulate_misses_plru_ipv
 from repro.kernels import tables as ktables
 from repro.policies import DGIPPRPolicy, GIPPRPolicy
+from repro.verify.differential import forced_bit_walk
 
 numpy_missing = ktables.numpy_or_none() is None
 needs_numpy = pytest.mark.skipif(
@@ -43,6 +42,12 @@ GEOMETRIES = [(16, 2), (8, 4), (8, 8), (4, 16)]
 def stress_ipv(k, salt=7):
     rng = random.Random(salt + k)
     return tuple(rng.randrange(k) for _ in range(k + 1))
+
+
+def walk_misses(*args, **kwargs):
+    """The scalar executor on its bit-walk fallback."""
+    with forced_bit_walk():
+        return simulate_misses_plru_ipv(*args, **kwargs)
 
 
 def make_stream(n, num_sets, assoc, seed, skew=False):
@@ -70,11 +75,11 @@ class TestSingleLaneIdentity:
             tuple(lip_ipv(assoc).entries),
             stress_ipv(assoc),
         ):
-            walk = simulate_misses_plru_ipv(
-                stream, num_sets, assoc, entries, 400, kernel="walk"
+            walk = walk_misses(
+                stream, num_sets, assoc, entries, 400
             )
             lut = simulate_misses_plru_ipv(
-                stream, num_sets, assoc, entries, 400, kernel="lut"
+                stream, num_sets, assoc, entries, 400
             )
             col = simulate_misses_plru_columnar(
                 stream, num_sets, assoc, entries, 400
@@ -87,8 +92,8 @@ class TestSingleLaneIdentity:
         num_sets, assoc = 8, 8
         stream = make_stream(1500, num_sets, assoc, seed=5)
         entries = stress_ipv(assoc)
-        walk = simulate_misses_plru_ipv(
-            stream, num_sets, assoc, entries, 100, kernel="walk"
+        walk = walk_misses(
+            stream, num_sets, assoc, entries, 100
         )
         col = simulate_misses_plru_columnar(
             stream, num_sets, assoc, entries, 100, batch_accesses=batch
@@ -100,8 +105,8 @@ class TestSingleLaneIdentity:
         num_sets, assoc = 8, 4
         stream = make_stream(3000, num_sets, assoc, seed=11)
         entries = stress_ipv(assoc)
-        walk = simulate_misses_plru_ipv(
-            stream, num_sets, assoc, entries, warmup, kernel="walk"
+        walk = walk_misses(
+            stream, num_sets, assoc, entries, warmup
         )
         col = simulate_misses_plru_columnar(
             stream, num_sets, assoc, entries, warmup
@@ -113,9 +118,8 @@ class TestSingleLaneIdentity:
         stream = make_stream(2500, num_sets, assoc, seed=3)
         entries = stress_ipv(assoc)
         walk_idx, col_idx = [], []
-        walk = simulate_misses_plru_ipv(
-            stream, num_sets, assoc, entries, 200,
-            kernel="walk", miss_indices=walk_idx,
+        walk = walk_misses(
+            stream, num_sets, assoc, entries, 200, miss_indices=walk_idx,
         )
         col = simulate_misses_plru_columnar(
             stream, num_sets, assoc, entries, 200,
@@ -132,9 +136,8 @@ class TestSingleLaneIdentity:
         entries = stress_ipv(assoc)
         simulator = BatchSimulator(num_sets, assoc, [entries])
         simulator.run(stream)
-        policy = GIPPRPolicy(
-            num_sets, assoc, ipv=IPV(list(entries), name="t"), kernel="walk"
-        )
+        with forced_bit_walk():
+            policy = GIPPRPolicy(num_sets, assoc, ipv=IPV(list(entries), name="t"))
         cache = SetAssociativeCache(num_sets, assoc, policy, block_size=1)
         for a in stream:
             cache.access(a)
@@ -160,8 +163,8 @@ class TestMultiLane:
         trace = ColumnarTrace(stream, num_sets, batch_accesses=193)
         misses = simulator.run(trace)
         for i, entries in enumerate(lanes):
-            walk = simulate_misses_plru_ipv(
-                stream, num_sets, assoc, entries, 300, kernel="walk"
+            walk = walk_misses(
+                stream, num_sets, assoc, entries, 300
             )
             assert int(misses[i]) == walk
 
@@ -173,12 +176,11 @@ class TestMultiLane:
         second = BatchSimulator(num_sets, assoc, [stress_ipv(assoc, salt=9)])
         m1 = int(first.run(trace)[0])
         m2 = int(second.run(trace)[0])
-        assert m1 == simulate_misses_plru_ipv(
-            stream, num_sets, assoc, stress_ipv(assoc), 0, kernel="walk"
+        assert m1 == walk_misses(
+            stream, num_sets, assoc, stress_ipv(assoc), 0
         )
-        assert m2 == simulate_misses_plru_ipv(
+        assert m2 == walk_misses(
             stream, num_sets, assoc, stress_ipv(assoc, salt=9), 0,
-            kernel="walk",
         )
 
     def test_multi_lane_miss_indices(self):
@@ -192,9 +194,8 @@ class TestMultiLane:
         )
         for i, entries in enumerate(lanes):
             walk_idx = []
-            walk = simulate_misses_plru_ipv(
-                stream, num_sets, assoc, entries, 100,
-                kernel="walk", miss_indices=walk_idx,
+            walk = walk_misses(
+                stream, num_sets, assoc, entries, 100, miss_indices=walk_idx,
             )
             assert int(misses[i]) == walk
             assert indices[i] == walk_idx
@@ -212,11 +213,11 @@ class TestDuelBatch:
         simulator = DuelBatchSimulator(num_sets, assoc, pairs)
         misses = simulator.run(stream, warmup=300)
         for lane, (a, b) in enumerate(pairs):
-            policy = DGIPPRPolicy(
-                num_sets, assoc,
-                ipvs=[IPV(list(a), name="a"), IPV(list(b), name="b")],
-                kernel="walk",
-            )
+            with forced_bit_walk():
+                policy = DGIPPRPolicy(
+                    num_sets, assoc,
+                    ipvs=[IPV(list(a), name="a"), IPV(list(b), name="b")],
+                )
             cache = SetAssociativeCache(num_sets, assoc, policy, block_size=1)
             for addr in stream[:300]:
                 cache.access(addr)
@@ -269,49 +270,30 @@ class TestValidation:
 
 
 class TestConfigResolution:
-    """Chunk-size / auto-batch knobs: kwarg > environment > default."""
+    """The chunk-size knob: kwarg > environment > default."""
 
     def test_defaults(self, monkeypatch):
         monkeypatch.delenv("REPRO_COLUMNAR_BATCH_ACCESSES", raising=False)
-        monkeypatch.delenv("REPRO_COLUMNAR_MIN_LANES", raising=False)
         assert resolve_batch_accesses() == DEFAULT_BATCH_ACCESSES
-        assert resolve_min_lanes() == DEFAULT_AUTO_MIN_LANES
-        assert columnar_config() == {
-            "batch_accesses": DEFAULT_BATCH_ACCESSES,
-            "min_lanes": DEFAULT_AUTO_MIN_LANES,
-        }
+        assert columnar_config() == {"batch_accesses": DEFAULT_BATCH_ACCESSES}
 
     def test_env_overrides_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_COLUMNAR_BATCH_ACCESSES", "2048")
-        monkeypatch.setenv("REPRO_COLUMNAR_MIN_LANES", "9")
         assert resolve_batch_accesses() == 2048
-        assert resolve_min_lanes() == 9
-        assert columnar_config() == {"batch_accesses": 2048, "min_lanes": 9}
+        assert columnar_config() == {"batch_accesses": 2048}
 
     def test_kwarg_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_COLUMNAR_BATCH_ACCESSES", "2048")
-        monkeypatch.setenv("REPRO_COLUMNAR_MIN_LANES", "9")
         assert resolve_batch_accesses(512) == 512
-        assert resolve_min_lanes(2) == 2
 
     @pytest.mark.parametrize("raw", ["", "  ", "abc", "0", "-5", "1.5"])
     def test_invalid_env_falls_back(self, monkeypatch, raw):
         monkeypatch.setenv("REPRO_COLUMNAR_BATCH_ACCESSES", raw)
-        monkeypatch.setenv("REPRO_COLUMNAR_MIN_LANES", raw)
         assert resolve_batch_accesses() == DEFAULT_BATCH_ACCESSES
-        assert resolve_min_lanes() == DEFAULT_AUTO_MIN_LANES
 
     def test_invalid_kwarg_raises(self):
         with pytest.raises(ValueError, match="batch_accesses"):
             resolve_batch_accesses(0)
-        with pytest.raises(ValueError, match="min_lanes"):
-            resolve_min_lanes(-1)
-
-    def test_caller_default_for_min_lanes(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COLUMNAR_MIN_LANES", raising=False)
-        assert resolve_min_lanes(default=7) == 7
-        monkeypatch.setenv("REPRO_COLUMNAR_MIN_LANES", "3")
-        assert resolve_min_lanes(default=7) == 3
 
     @pytest.mark.skipif(numpy_missing, reason="columnar engine needs numpy")
     def test_trace_resolves_chunk_from_env(self, monkeypatch):
@@ -356,8 +338,6 @@ class TestNoNumpy:
         with pytest.raises(ColumnarUnavailable):
             DuelBatchSimulator(16, 4, [(stress_ipv(4), stress_ipv(4, 9))])
 
-    def test_fitness_kernel_columnar_raises(self, no_numpy):
+    def test_single_lane_columnar_raises(self, no_numpy):
         with pytest.raises(ColumnarUnavailable):
-            simulate_misses_plru_ipv(
-                [1, 2, 3], 16, 4, (0,) * 5, 0, kernel="columnar"
-            )
+            simulate_misses_plru_columnar([1, 2, 3], 16, 4, (0,) * 5, 0)

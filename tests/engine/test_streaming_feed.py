@@ -17,6 +17,7 @@ from repro.engine import ScalarStreamSimulator
 from repro.engine.columnar import columnar_supported
 from repro.ga.fitness import simulate_misses_plru_ipv
 from repro.kernels import tables as ktables
+from repro.verify.differential import forced_bit_walk
 
 NUM_SETS = 16
 ASSOC = 4
@@ -52,9 +53,10 @@ def _partitions(n):
 def test_scalar_feed_matches_one_shot(name, warmup):
     trace = make_stream(4000)
     entries = IPVS[name]
-    expected = simulate_misses_plru_ipv(
-        trace, NUM_SETS, ASSOC, entries, warmup, kernel="walk"
-    )
+    with forced_bit_walk():
+        expected = simulate_misses_plru_ipv(
+            trace, NUM_SETS, ASSOC, entries, warmup
+        )
     for parts in _partitions(len(trace)):
         sim = ScalarStreamSimulator(NUM_SETS, ASSOC, entries, warmup)
         total = 0
@@ -73,9 +75,10 @@ def test_scalar_walk_and_lut_paths_agree():
     trace = make_stream(3000, seed=11)
     entries = IPVS["skew"]
     lut = ScalarStreamSimulator(NUM_SETS, ASSOC, entries, warmup=100)
-    assert lut._lut is not None
-    walk = ScalarStreamSimulator(NUM_SETS, ASSOC, entries, warmup=100)
-    walk._lut = None  # force the Figure 5/7/9 bit-walk path
+    assert lut.kernel_mode == "lut"
+    with forced_bit_walk():
+        walk = ScalarStreamSimulator(NUM_SETS, ASSOC, entries, warmup=100)
+    assert walk.kernel_mode == "walk"
     for base in range(0, len(trace), 333):
         chunk = trace[base:base + 333]
         assert lut.feed(chunk) == walk.feed(chunk)
@@ -83,18 +86,17 @@ def test_scalar_walk_and_lut_paths_agree():
 
 
 def test_scalar_feed_k16_walk_fallback_without_numpy(monkeypatch):
-    # k=16 tables need numpy; with numpy masked the walk path must serve.
-    monkeypatch.setattr(ktables, "_np", None)
+    # k=16 tables need numpy; with numpy masked the walk path must serve
+    # and agree with the table path.
     trace = make_stream(1500, num_sets=64, assoc=16, seed=3)
     entries = tuple(GIPPR_WI_VECTOR.entries)
+    expected = simulate_misses_plru_ipv(trace, 64, 16, entries, 0)
+    monkeypatch.setattr(ktables, "_np", None)
     sim = ScalarStreamSimulator(64, 16, entries, warmup=0)
-    assert sim._lut is None
+    assert sim.kernel_mode == "walk"
     total = sum(
         sim.feed(trace[base:base + 500])
         for base in range(0, len(trace), 500)
-    )
-    expected = simulate_misses_plru_ipv(
-        trace, 64, 16, entries, 0, kernel="walk"
     )
     assert total == expected
 

@@ -13,7 +13,10 @@ from repro.ga import (
     simulate_misses_lru_ipv,
     simulate_misses_plru_ipv,
 )
+from repro.kernels import kernel_counters
+from repro.kernels import tables as ktables
 from repro.policies import GIPPRPolicy, IPVLRUPolicy, TrueLRUPolicy
+from repro.verify.differential import forced_bit_walk
 
 
 def cache_misses(policy, addresses, num_sets, assoc, warmup):
@@ -180,13 +183,18 @@ class TestWarmupWindowValidation:
         with pytest.raises(ValueError, match="non-negative"):
             sim(list(range(100)), 8, 16, entries, warmup=-1)
 
-    def test_walk_and_lut_kernels_validate_too(self):
+    def test_walk_and_lut_kernels_validate_too(self, monkeypatch):
         entries = tuple(lru_ipv(16).entries)
-        for kernel in ("walk", "lut", "columnar"):
+        with pytest.raises(ValueError, match="measured window"):
+            simulate_misses_plru_ipv(list(range(50)), 8, 16, entries, warmup=50)
+        with forced_bit_walk():
             with pytest.raises(ValueError, match="measured window"):
                 simulate_misses_plru_ipv(
-                    list(range(50)), 8, 16, entries, warmup=50, kernel=kernel
+                    list(range(50)), 8, 16, entries, warmup=50
                 )
+        monkeypatch.setattr(ktables, "_np", None)
+        with pytest.raises(ValueError, match="measured window"):
+            simulate_misses_plru_ipv(list(range(50)), 8, 16, entries, warmup=50)
 
     def test_last_access_measured_is_fine(self):
         entries = tuple(lru_ipv(16).entries)
@@ -196,45 +204,54 @@ class TestWarmupWindowValidation:
 
 
 class TestColumnarKernel:
-    """kernel="columnar" and the batched evaluate_many path."""
+    """The batched evaluate_many path and when it goes columnar."""
 
     @pytest.fixture(scope="class")
     def config(self):
         return default_config(trace_length=4000)
 
-    def test_kernel_validation_accepts_columnar(self, config):
-        evaluator = FitnessEvaluator(
-            ["429.mcf"], config=config, kernel="columnar"
-        )
-        assert evaluator.kernel == "columnar"
-        with pytest.raises(ValueError):
-            FitnessEvaluator(["429.mcf"], config=config, kernel="vector")
+    @pytest.fixture
+    def needs_columnar(self):
+        from repro.engine.columnar import columnar_supported
 
-    def test_columnar_sim_matches_walk(self, config):
+        if not columnar_supported(16):
+            pytest.skip("columnar engine needs numpy")
+
+    def test_columnar_sim_matches_walk(self, config, needs_columnar):
+        from repro.engine.columnar import simulate_misses_plru_columnar
+
         rng = random.Random(4)
         addresses = [rng.randrange(600) for _ in range(6000)]
         for ipv in [lru_ipv(16), lip_ipv(16), GIPPR_WI_VECTOR]:
-            walk = simulate_misses_plru_ipv(
-                addresses, 8, 16, tuple(ipv.entries), 500, kernel="walk"
-            )
-            col = simulate_misses_plru_ipv(
-                addresses, 8, 16, tuple(ipv.entries), 500, kernel="columnar"
+            with forced_bit_walk():
+                walk = simulate_misses_plru_ipv(
+                    addresses, 8, 16, tuple(ipv.entries), 500
+                )
+            col = simulate_misses_plru_columnar(
+                addresses, 8, 16, tuple(ipv.entries), 500
             )
             assert col == walk, ipv.name
 
-    def test_columnar_fitness_identical_to_walk(self, config):
-        walk = FitnessEvaluator(
-            ["462.libquantum", "429.mcf"], config=config, kernel="walk"
+    def test_columnar_fitness_identical_to_walk(self, config, needs_columnar,
+                                                monkeypatch):
+        evaluator = FitnessEvaluator(
+            ["462.libquantum", "429.mcf"], config=config
         )
-        col = FitnessEvaluator(
-            ["462.libquantum", "429.mcf"], config=config, kernel="columnar"
-        )
-        for ipv in [lru_ipv(16), IPV([0] * 16 + [15]), GIPPR_WI_VECTOR]:
-            assert col.evaluate(ipv) == walk.evaluate(ipv)
+        population = [lru_ipv(16), IPV([0] * 16 + [15]), GIPPR_WI_VECTOR,
+                      lip_ipv(16)]
+        before = kernel_counters()["columnar_calls"]
+        col = evaluator.evaluate_many(population)
+        assert kernel_counters()["columnar_calls"] > before
+        # Without numpy the same evaluator walks: 16-way tables need it.
+        monkeypatch.setattr(ktables, "_np", None)
+        before = kernel_counters()["walk_calls"]
+        walk = evaluator.evaluate_many(population)
+        assert kernel_counters()["walk_calls"] > before
+        assert col == walk
 
     def test_evaluate_many_matches_evaluate_exactly(self, config):
         evaluator = FitnessEvaluator(
-            ["462.libquantum", "429.mcf"], config=config, kernel="columnar"
+            ["462.libquantum", "429.mcf"], config=config
         )
         population = [
             lru_ipv(16), lip_ipv(16), IPV([0] * 16 + [15]), GIPPR_WI_VECTOR,
@@ -247,70 +264,39 @@ class TestColumnarKernel:
     def test_evaluate_many_auto_batches_only_large(self, config):
         from repro.engine.columnar import columnar_supported
 
-        evaluator = FitnessEvaluator(
-            ["429.mcf"], config=config, kernel="auto"
-        )
+        evaluator = FitnessEvaluator(["429.mcf"], config=config)
         small = [lru_ipv(16)] * 2
         large = [lru_ipv(16), lip_ipv(16), GIPPR_WI_VECTOR,
                  IPV([0] * 16 + [15])]
-        assert not evaluator._columnar_batchable(len(small))
+        assert not evaluator.columnar_batchable(len(small))
         if columnar_supported(16):
-            assert evaluator._columnar_batchable(len(large))
+            assert evaluator.columnar_batchable(len(large))
         assert evaluator.evaluate_many(large) == [
             evaluator.evaluate(ipv) for ipv in large
         ]
 
-    def test_min_lanes_kwarg_env_precedence(self, config, monkeypatch):
-        monkeypatch.delenv("REPRO_COLUMNAR_MIN_LANES", raising=False)
+    def test_lane_threshold_gates_batching(self, config, needs_columnar,
+                                           monkeypatch):
+        from repro.engine.columnar import MIN_BATCH_LANES
+
         evaluator = FitnessEvaluator(["429.mcf"], config=config)
-        assert evaluator.columnar_min_lanes == (
-            FitnessEvaluator.COLUMNAR_AUTO_MIN_LANES
-        )
-        monkeypatch.setenv("REPRO_COLUMNAR_MIN_LANES", "2")
-        from_env = FitnessEvaluator(["429.mcf"], config=config)
-        assert from_env.columnar_min_lanes == 2
-        explicit = FitnessEvaluator(
-            ["429.mcf"], config=config, columnar_min_lanes=7
-        )
-        assert explicit.columnar_min_lanes == 7
-
-    def test_min_lanes_gates_auto_batching(self, config):
-        from repro.engine.columnar import columnar_supported
-
-        if not columnar_supported(16):
-            pytest.skip("columnar engine needs numpy")
-        eager = FitnessEvaluator(
-            ["429.mcf"], config=config, kernel="auto", columnar_min_lanes=2
-        )
-        assert eager._columnar_batchable(2)
-        lazy = FitnessEvaluator(
-            ["429.mcf"], config=config, kernel="auto", columnar_min_lanes=64
-        )
-        assert not lazy._columnar_batchable(63)
-
-    def test_min_lanes_survives_spec_round_trip(self, config):
-        evaluator = FitnessEvaluator(
-            ["429.mcf"], config=config, columnar_min_lanes=9
-        )
-        spec = evaluator.spec()
-        assert spec["columnar_min_lanes"] == 9
-        rebuilt = FitnessEvaluator.from_spec(spec)
-        assert rebuilt.columnar_min_lanes == 9
+        assert not evaluator.columnar_batchable(MIN_BATCH_LANES - 1)
+        assert evaluator.columnar_batchable(MIN_BATCH_LANES)
+        monkeypatch.setattr(ktables, "_np", None)
+        assert not evaluator.columnar_batchable(64)
 
     def test_evaluate_many_falls_back_scalar(self, config):
         evaluator = FitnessEvaluator(
             ["429.mcf"], config=config, substrate="lru"
         )
         population = [lru_ipv(16), lip_ipv(16)]
-        assert not evaluator._columnar_batchable(len(population))
+        assert not evaluator.columnar_batchable(len(population))
         assert evaluator.evaluate_many(population) == [
             evaluator.evaluate(ipv) for ipv in population
         ]
 
     def test_evaluate_many_validates_and_handles_empty(self, config):
-        evaluator = FitnessEvaluator(
-            ["429.mcf"], config=config, kernel="columnar"
-        )
+        evaluator = FitnessEvaluator(["429.mcf"], config=config)
         assert evaluator.evaluate_many([]) == []
         with pytest.raises(ValueError):
             evaluator.evaluate_many([[0] * 9])
@@ -404,17 +390,13 @@ class TestColumnarMemo:
         config = default_config(trace_length=600)
         population = [lru_ipv(16), lip_ipv(16), GIPPR_WI_VECTOR,
                       IPV([0] * 16 + [15])]
-        first = FitnessEvaluator(
-            ["429.mcf"], config=config, kernel="columnar"
-        )
+        first = FitnessEvaluator(["429.mcf"], config=config)
         first.evaluate_many(population)
         after_first = columnar_memo_stats()
         workloads = len(first._workload_keys)  # one trace per simpoint
         assert after_first["size"] == workloads
         # A rebuilt evaluator with the same derivation reuses the layouts.
-        second = FitnessEvaluator(
-            ["429.mcf"], config=config, kernel="columnar"
-        )
+        second = FitnessEvaluator(["429.mcf"], config=config)
         second.evaluate_many(population)
         after_second = columnar_memo_stats()
         assert after_second["size"] == workloads

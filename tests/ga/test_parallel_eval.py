@@ -2,13 +2,15 @@
 
 The contract being tested: ``workers=N`` is bit-identical to the serial
 path for every N, for every search driver (GA, hill climbing, random
-sampling), and kernel selection (LUT vs bit-walk) never changes a single
-fitness value — so ``same seed => same evolved vector`` holds across all
-execution modes.
+sampling), and the executor the code picks (columnar batch, scalar table
+path, or the bit-walk it falls back to without numpy) never changes a
+single fitness value — so ``same seed => same evolved vector`` holds
+across all execution modes.
 """
 
 import pytest
 
+from repro.engine import columnar
 from repro.eval import default_config
 from repro.ga import (
     FitnessEvaluator,
@@ -18,16 +20,30 @@ from repro.ga import (
     random_search,
 )
 from repro.ga.fitness import _shared_workloads
+from repro.kernels import tables as ktables
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.shipping import merge_spool
 
 BENCHMARKS = ["429.mcf", "462.libquantum"]
 
+needs_columnar = pytest.mark.skipif(
+    not columnar.columnar_supported(16), reason="columnar engine needs numpy"
+)
 
-def make_evaluator(kernel="auto", trace_length=2_000):
+
+def make_evaluator(trace_length=2_000):
     return FitnessEvaluator(
         benchmarks=BENCHMARKS,
         config=default_config(trace_length=trace_length),
-        kernel=kernel,
     )
+
+
+def worker_columnar_calls(spool_root):
+    registry = MetricsRegistry()
+    for spool in spool_root.glob("ga-*"):
+        merge_spool(spool, registry=registry)
+    series = registry.to_json()["repro_kernel_columnar_calls"]["series"]
+    return sum(point["value"] for point in series)
 
 
 @pytest.fixture(scope="module")
@@ -72,24 +88,36 @@ def test_spec_roundtrip_preserves_fitness(evaluator):
 # ----------------------------------------------------------------------
 # Search drivers: parallel == serial, LUT == walk.
 # ----------------------------------------------------------------------
-def test_evolve_ipv_parallel_identical_to_serial(evaluator):
+def test_evolve_ipv_parallel_identical_to_serial(evaluator, tmp_path):
     kwargs = dict(
         population_size=8, initial_population_size=12, generations=2, seed=3
     )
     serial = evolve_ipv(evaluator, workers=0, **kwargs)
-    parallel = evolve_ipv(evaluator, workers=2, **kwargs)
+    parallel = evolve_ipv(evaluator, workers=2, telemetry=tmp_path, **kwargs)
     assert tuple(parallel.best.entries) == tuple(serial.best.entries)
     assert parallel.best_fitness == serial.best_fitness
     assert parallel.history == serial.history
     assert parallel.evaluations == serial.evaluations
+    if columnar.columnar_supported(16):
+        # The pool scores the population in columnar worker slices.
+        assert worker_columnar_calls(tmp_path) > 0
 
 
-def test_evolve_ipv_lut_identical_to_walk():
+def _evolve_walk(kwargs, monkeypatch):
+    """16-way tables need numpy: without it every path is the bit-walk."""
+    with monkeypatch.context() as patch:
+        patch.setattr(ktables, "_np", None)
+        return evolve_ipv(make_evaluator(), **kwargs)
+
+
+def test_evolve_ipv_lut_identical_to_walk(monkeypatch):
     kwargs = dict(
         population_size=6, initial_population_size=10, generations=2, seed=11
     )
-    walk = evolve_ipv(make_evaluator(kernel="walk"), **kwargs)
-    lut = evolve_ipv(make_evaluator(kernel="lut"), **kwargs)
+    walk = _evolve_walk(kwargs, monkeypatch)
+    # Keep every batch below the columnar threshold: the scalar table path.
+    monkeypatch.setattr(columnar, "MIN_BATCH_LANES", 1 << 30)
+    lut = evolve_ipv(make_evaluator(), **kwargs)
     assert tuple(lut.best.entries) == tuple(walk.best.entries)
     assert lut.best_fitness == walk.best_fitness
     assert lut.history == walk.history
@@ -137,45 +165,53 @@ def test_evaluators_share_workloads_by_reference():
 
 def test_baseline_lru_cycles_shared_and_equal():
     a = make_evaluator()
-    b = make_evaluator(kernel="walk")  # kernel doesn't affect the baseline
+    b = make_evaluator()
     assert a._lru_cycles == b._lru_cycles
 
 
 def test_kernel_argument_validated():
-    with pytest.raises(ValueError):
-        make_evaluator(kernel="banana")
+    """The executor is picked by the code: a caller still passing a
+    kernel setting gets a loud error, never a silently ignored knob."""
+    with pytest.raises(TypeError):
+        FitnessEvaluator(benchmarks=BENCHMARKS, kernel="banana")
 
 
 # ----------------------------------------------------------------------
 # Columnar batching through the population evaluator.
 # ----------------------------------------------------------------------
-def test_columnar_serial_identical_to_walk_serial():
+@needs_columnar
+def test_columnar_serial_identical_to_walk_serial(monkeypatch):
     individuals = some_individuals(16, n=6)
-    walk = make_evaluator(kernel="walk")
-    columnar = make_evaluator(kernel="columnar")
-    with PopulationEvaluator(walk, workers=0) as serial_walk:
-        base = serial_walk.evaluate_all(individuals)
-    with PopulationEvaluator(columnar, workers=0) as serial_col:
+    evaluator = make_evaluator()
+    with PopulationEvaluator(evaluator, workers=0) as serial_col:
         batched = serial_col.evaluate_all(individuals)
+    monkeypatch.setattr(ktables, "_np", None)
+    with PopulationEvaluator(evaluator, workers=0) as serial_walk:
+        base = serial_walk.evaluate_all(individuals)
     assert batched == base
 
 
 def test_columnar_parallel_identical_to_serial_in_order():
-    individuals = some_individuals(16, n=7, seed=12)
-    columnar = make_evaluator(kernel="columnar")
-    with PopulationEvaluator(columnar, workers=0) as serial:
+    individuals = some_individuals(16, n=9, seed=12)
+    evaluator = make_evaluator()
+    with PopulationEvaluator(evaluator, workers=0) as serial:
         base = serial.evaluate_all(individuals)
-    with PopulationEvaluator(columnar, workers=2) as parallel:
+    with PopulationEvaluator(evaluator, workers=2) as parallel:
         fanned = parallel.evaluate_all(individuals)
     assert fanned == base  # chunked lanes reassemble in submission order
+    if columnar.columnar_supported(16):
+        metrics = parallel.worker_metrics.to_json()
+        calls = metrics["repro_kernel_columnar_calls"]["series"][0]["value"]
+        assert calls > 0
 
 
-def test_evolve_ipv_columnar_identical_to_walk():
+@needs_columnar
+def test_evolve_ipv_columnar_identical_to_walk(monkeypatch):
     kwargs = dict(
         population_size=6, initial_population_size=10, generations=2, seed=11
     )
-    walk = evolve_ipv(make_evaluator(kernel="walk"), **kwargs)
-    columnar = evolve_ipv(make_evaluator(kernel="columnar"), **kwargs)
-    assert tuple(columnar.best.entries) == tuple(walk.best.entries)
-    assert columnar.best_fitness == walk.best_fitness
-    assert columnar.history == walk.history
+    walk = _evolve_walk(kwargs, monkeypatch)
+    columnar_run = evolve_ipv(make_evaluator(), **kwargs)
+    assert tuple(columnar_run.best.entries) == tuple(walk.best.entries)
+    assert columnar_run.best_fitness == walk.best_fitness
+    assert columnar_run.history == walk.history

@@ -19,6 +19,7 @@ from repro.core.ipv import IPV, lru_ipv
 from repro.eval.config import default_config
 from repro.ga import FitnessEvaluator, hill_climb
 from repro.ga.parallel import PopulationEvaluator
+from repro.kernels import tables as ktables
 from repro.ga.surrogate import (
     FitnessMemo,
     SurrogateModel,
@@ -264,7 +265,7 @@ class TestSurrogatePrefilter:
         for fitness, entries in kept:
             assert fitness == evaluator.evaluate(entries)
 
-    def test_prefiltered_columnar_path_matches_scalar_walk(self):
+    def test_prefiltered_columnar_path_matches_scalar_walk(self, monkeypatch):
         """Columnar-vs-walk differential, extended to the prefiltered path.
 
         On the default tree-PLRU substrate the prefilter's batch
@@ -273,8 +274,7 @@ class TestSurrogatePrefilter:
         """
         pytest.importorskip("numpy")
         config = default_config(trace_length=2000)
-        batched = FitnessEvaluator(["429.mcf"], config=config, kernel="auto")
-        walk = FitnessEvaluator(["429.mcf"], config=config, kernel="walk")
+        batched = FitnessEvaluator(["429.mcf"], config=config)
         model = SurrogateModel.from_evaluator(batched, cache_dir=None)
         prefilter = SurrogatePrefilter(
             model, keep=0.2, audit=8, rho_floor=-1.0, seed=0
@@ -283,8 +283,10 @@ class TestSurrogatePrefilter:
         with PopulationEvaluator(batched) as pop_eval:
             kept = prefilter.evaluate_batch(pop_eval, FitnessMemo(), batch)
         assert 0 < len(kept) < len(batch)
+        # 16-way tables need numpy: without it evaluate() walks.
+        monkeypatch.setattr(ktables, "_np", None)
         for fitness, entries in kept:
-            assert fitness == walk.evaluate(entries)
+            assert fitness == batched.evaluate(entries)
 
     def test_stats_surface(self):
         model = _StubModel(lambda entries: float(sum(entries)))

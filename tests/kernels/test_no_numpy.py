@@ -21,7 +21,6 @@ from repro.kernels.tables import (
     clear_kernel_cache,
     compile_tables,
     numpy_or_none,
-    resolve_kernel,
     tables_supported,
 )
 
@@ -84,10 +83,19 @@ class TestPurePythonCompile:
         assert PURE_PYTHON_MAX_ASSOC < MAX_TABLE_ASSOC
         assert not tables_supported(MAX_TABLE_ASSOC)
         assert compile_tables(MAX_TABLE_ASSOC, ipv_for(16)) is None
-        with pytest.raises(ValueError, match="numpy required"):
-            resolve_kernel("lut", MAX_TABLE_ASSOC, ipv_for(16))
-        # "auto" falls back to the walk (None tables), never raises.
-        assert resolve_kernel("auto", MAX_TABLE_ASSOC, ipv_for(16)) is None
+        # Every scalar consumer then takes its bit-walk fallback.
+        from repro.engine.scalar import ScalarStreamSimulator
+        from repro.policies.plru import (
+            DGIPPRPolicy,
+            GIPPRPolicy,
+            TreePLRUPolicy,
+        )
+
+        assert ScalarStreamSimulator(4, 16, ipv_for(16)).kernel_mode == "walk"
+        for policy in (
+            TreePLRUPolicy(4, 16), GIPPRPolicy(4, 16), DGIPPRPolicy(4, 16),
+        ):
+            assert policy.kernel_mode == "walk"
 
     def test_numpy_or_none_reflects_patch(self, forced_no_numpy):
         assert numpy_or_none() is None

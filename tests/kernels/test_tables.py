@@ -3,10 +3,14 @@
 The LUT kernel is a memoization of the Figure 5/7/9 bit-walks — so the
 tests here are equality proofs, not tolerance checks: every (state, way)
 pair for every supported associativity, randomized access streams, and
-policy-level CacheStats must match the reference bit for bit.
+policy-level CacheStats must match the reference bit for bit.  The
+bit-walk side runs under ``forced_bit_walk`` below 16 ways and with numpy
+disabled at the ``kernels.tables._np`` seam at 16 ways, where it runs in
+production.
 """
 
 import random
+from contextlib import contextmanager
 
 import pytest
 
@@ -25,10 +29,11 @@ from repro.kernels import (
     publish_kernel_metrics,
     record_kernel_call,
     reset_kernel_counters,
-    resolve_kernel,
     tables_supported,
 )
+from repro.kernels import tables as ktables
 from repro.policies.plru import DGIPPRPolicy, GIPPRPolicy, TreePLRUPolicy
+from repro.verify.differential import forced_bit_walk
 
 SUPPORTED_KS = [2, 4, 8, 16]
 
@@ -36,6 +41,22 @@ SUPPORTED_KS = [2, 4, 8, 16]
 def scrambled_ipv(k, seed=3):
     rng = random.Random(seed * 1000 + k)
     return tuple(rng.randrange(k) for _ in range(k + 1))
+
+
+@contextmanager
+def no_numpy():
+    """Disable numpy at the kernel seam: no tables compile at 16 ways."""
+    saved = ktables._np
+    ktables._np = None
+    try:
+        yield
+    finally:
+        ktables._np = saved
+
+
+def walking(k):
+    """The way the bit-walk is reached for ``k`` ways in these tests."""
+    return no_numpy() if k == MAX_TABLE_ASSOC else forced_bit_walk()
 
 
 def mixed_stream(n, num_sets, assoc, seed=11):
@@ -103,26 +124,31 @@ def test_stream_misses_identical_walk_vs_lut(k):
     stream = mixed_stream(50_000, num_sets, k)
     warmup = 5_000
     walk_idx, lut_idx = [], []
-    walk = simulate_misses_plru_ipv(
-        stream, num_sets, k, entries, warmup,
-        miss_indices=walk_idx, kernel="walk",
-    )
+    reset_kernel_counters()
+    with walking(k):
+        walk = simulate_misses_plru_ipv(
+            stream, num_sets, k, entries, warmup, miss_indices=walk_idx,
+        )
     lut = simulate_misses_plru_ipv(
-        stream, num_sets, k, entries, warmup,
-        miss_indices=lut_idx, kernel="lut",
+        stream, num_sets, k, entries, warmup, miss_indices=lut_idx,
     )
+    counters = kernel_counters()
+    assert (counters["walk_calls"], counters["lut_calls"]) == (1, 1)
     assert walk == lut
     assert walk_idx == lut_idx
 
 
 def test_auto_kernel_matches_forced_paths():
+    """The path the code picks at 16 ways equals both ways of reaching
+    the walk: numpy disabled, and compile_tables returning nothing."""
     stream = mixed_stream(10_000, 32, 16, seed=2)
     entries = scrambled_ipv(16, seed=2)
     auto = simulate_misses_plru_ipv(stream, 32, 16, entries, 1_000)
-    walk = simulate_misses_plru_ipv(
-        stream, 32, 16, entries, 1_000, kernel="walk"
-    )
-    assert auto == walk
+    with no_numpy():
+        seam = simulate_misses_plru_ipv(stream, 32, 16, entries, 1_000)
+    with forced_bit_walk():
+        forced = simulate_misses_plru_ipv(stream, 32, 16, entries, 1_000)
+    assert auto == seam == forced
 
 
 # ----------------------------------------------------------------------
@@ -140,21 +166,25 @@ def _run_policy(policy, num_sets, assoc, seed=31):
 @pytest.mark.parametrize("assoc", [4, 16])
 def test_gippr_policy_stats_identical_lut_vs_walk(assoc):
     ipv = IPV(scrambled_ipv(assoc, seed=13), name="t")
-    walk = GIPPRPolicy(64, assoc, ipv=ipv, kernel="walk")
-    lut = GIPPRPolicy(64, assoc, ipv=ipv, kernel="lut")
+    with walking(assoc):
+        walk = GIPPRPolicy(64, assoc, ipv=ipv)
+    lut = GIPPRPolicy(64, assoc, ipv=ipv)
     assert walk.kernel_mode == "walk" and lut.kernel_mode == "lut"
     assert _run_policy(walk, 64, assoc) == _run_policy(lut, 64, assoc)
 
 
 def test_plru_policy_stats_identical_lut_vs_walk():
-    walk = TreePLRUPolicy(64, 16, kernel="walk")
-    lut = TreePLRUPolicy(64, 16, kernel="lut")
+    with no_numpy():
+        walk = TreePLRUPolicy(64, 16)
+    lut = TreePLRUPolicy(64, 16)
+    assert walk.kernel_mode == "walk" and lut.kernel_mode == "lut"
     assert _run_policy(walk, 64, 16) == _run_policy(lut, 64, 16)
 
 
 def test_dgippr_policy_stats_identical_lut_vs_walk():
-    walk = DGIPPRPolicy(64, 16, kernel="walk")
-    lut = DGIPPRPolicy(64, 16, kernel="lut")
+    with no_numpy():
+        walk = DGIPPRPolicy(64, 16)
+    lut = DGIPPRPolicy(64, 16)
     assert walk.kernel_mode == "walk" and lut.kernel_mode == "lut"
     assert _run_policy(walk, 64, 16) == _run_policy(lut, 64, 16)
 
@@ -163,8 +193,9 @@ def test_dgippr_policy_stats_identical_lut_vs_walk():
 def test_policy_positions_identical_lut_vs_walk(assoc):
     """position_of agrees on every way after an identical access history."""
     ipv = IPV(scrambled_ipv(assoc, seed=17), name="t")
-    walk = GIPPRPolicy(16, assoc, ipv=ipv, kernel="walk")
-    lut = GIPPRPolicy(16, assoc, ipv=ipv, kernel="lut")
+    with walking(assoc):
+        walk = GIPPRPolicy(16, assoc, ipv=ipv)
+    lut = GIPPRPolicy(16, assoc, ipv=ipv)
     cache_w = SetAssociativeCache(16, assoc, walk, block_size=1)
     cache_l = SetAssociativeCache(16, assoc, lut, block_size=1)
     for addr in mixed_stream(5_000, 16, assoc, seed=41):
@@ -176,7 +207,7 @@ def test_policy_positions_identical_lut_vs_walk(assoc):
 
 
 # ----------------------------------------------------------------------
-# Validation, support predicate, resolve semantics, cache bounds.
+# Validation, support predicate, fallback semantics, cache bounds.
 # ----------------------------------------------------------------------
 def test_tables_supported_gate():
     for k in SUPPORTED_KS:
@@ -209,16 +240,19 @@ def test_simulator_validates_entries():
         simulate_misses_plru_ipv([0, 1], 4, 4, (0, 0, 0, 0, 4), 0)
 
 
-def test_resolve_kernel_semantics():
-    assert resolve_kernel("walk", 16, None) is None
-    assert resolve_kernel("auto", 16, None) is not None
-    assert resolve_kernel("lut", 16, None) is not None
-    # auto falls back silently on unsupported k; lut refuses.
-    assert resolve_kernel("auto", 32, None) is None
-    with pytest.raises(ValueError):
-        resolve_kernel("lut", 32, None)
-    with pytest.raises(ValueError):
-        resolve_kernel("banana", 16, None)
+def test_compile_tables_none_means_walk():
+    """``None`` from compile_tables is the only walk trigger, and it
+    never skips validation."""
+    assert compile_tables(16) is not None
+    assert compile_tables(32) is None
+    with no_numpy():
+        assert compile_tables(16) is None
+        assert compile_tables(8) is not None  # pure-Python compile
+    with forced_bit_walk():
+        assert ktables.compile_tables(4) is None
+        with pytest.raises(ValueError):
+            ktables.compile_tables(4, (0, 0, 0, 0, 4))
+    assert ktables.compile_tables(4) is not None  # the patch is undone
 
 
 def test_compile_cache_hits_and_eviction():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.kernels import tables as ktables
+from repro.verify.differential import forced_bit_walk
 
 numpy_missing = ktables.numpy_or_none() is None
 needs_numpy = pytest.mark.skipif(
@@ -55,9 +56,8 @@ class TestBatchCounters:
         stream, simulator, misses, _ = batch_run
         counters = simulator.counters
         for lane, entries in enumerate(lanes()):
-            policy = GIPPRPolicy(
-                NUM_SETS, ASSOC, ipv=IPV(list(entries)), kernel="walk"
-            )
+            with forced_bit_walk():
+                policy = GIPPRPolicy(NUM_SETS, ASSOC, ipv=IPV(list(entries)))
             cache = SetAssociativeCache(
                 NUM_SETS, ASSOC, policy, block_size=1
             )
@@ -144,11 +144,11 @@ class TestDuelCounters:
         counters = simulator.counters
         assert counters.kind == "duel"
         for lane, (a, b) in enumerate(pairs):
-            policy = DGIPPRPolicy(
-                NUM_SETS, ASSOC,
-                ipvs=[IPV(list(a), name="a"), IPV(list(b), name="b")],
-                kernel="walk",
-            )
+            with forced_bit_walk():
+                policy = DGIPPRPolicy(
+                    NUM_SETS, ASSOC,
+                    ipvs=[IPV(list(a), name="a"), IPV(list(b), name="b")],
+                )
             cache = SetAssociativeCache(
                 NUM_SETS, ASSOC, policy, block_size=1
             )

@@ -1,6 +1,11 @@
 """Provenance manifests: content, sidecar paths, atomic writes."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 from repro.eval.config import ExperimentConfig
 from repro.obs import (
@@ -10,6 +15,7 @@ from repro.obs import (
     manifest_path_for,
     write_manifest,
 )
+from repro.obs import provenance
 from repro.obs.provenance import MANIFEST_SCHEMA
 
 import pytest
@@ -53,15 +59,80 @@ class TestBuildManifest:
 
     def test_columnar_knobs_recorded(self, monkeypatch):
         monkeypatch.setenv("REPRO_COLUMNAR_BATCH_ACCESSES", "4096")
-        monkeypatch.setenv("REPRO_COLUMNAR_MIN_LANES", "6")
         manifest = build_manifest(config=_config())
-        assert manifest["columnar"] == {
-            "batch_accesses": 4096, "min_lanes": 6,
-        }
+        assert manifest["columnar"] == {"batch_accesses": 4096}
 
     def test_git_revision_never_raises(self):
         rev = git_revision()
         assert isinstance(rev, str) and rev
+
+
+def _git(repo, *args):
+    return subprocess.run(
+        ["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+         *args],
+        cwd=repo, check=True, capture_output=True, text=True,
+    ).stdout.strip()
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+class TestGitDirty:
+    """``git_dirty`` against a scratch repository, clean then dirty."""
+
+    @pytest.fixture
+    def repo(self, tmp_path, monkeypatch):
+        _git(tmp_path, "init", "-q")
+        (tmp_path / "a.txt").write_text("one\n")
+        _git(tmp_path, "add", "a.txt")
+        _git(tmp_path, "commit", "-q", "-m", "init")
+        monkeypatch.setattr(provenance, "_GIT_ROOT", tmp_path)
+        provenance._reset_git_revision_memo()
+        yield tmp_path
+        provenance._reset_git_revision_memo()
+
+    def test_clean_tree(self, repo):
+        manifest = build_manifest()
+        assert manifest["git_revision"] == _git(repo, "rev-parse", "HEAD")
+        assert manifest["git_dirty"] is False
+        assert os.environ[provenance.GIT_REVISION_ENV] == (
+            manifest["git_revision"]
+        )
+
+    def test_dirty_tree(self, repo):
+        (repo / "a.txt").write_text("two\n")
+        manifest = build_manifest()
+        assert manifest["git_revision"] == _git(repo, "rev-parse", "HEAD")
+        assert manifest["git_dirty"] is True
+
+    def test_worker_inherits_dirty_flag(self, repo):
+        """A child process reads the flag from the environment, the way
+        worker processes inherit the revision, without asking git."""
+        (repo / "b.txt").write_text("untracked\n")
+        parent = build_manifest()
+        code = (
+            "from repro.obs.provenance import build_manifest\n"
+            "m = build_manifest()\n"
+            "print(m['git_revision'], m['git_dirty'])\n"
+        )
+        src = Path(provenance.__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", code], cwd=repo, env=env,
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.split() == [parent["git_revision"], "True"]
+
+    def test_outside_a_checkout(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(provenance, "_GIT_ROOT", tmp_path)
+        monkeypatch.delenv("GIT_DIR", raising=False)
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+        provenance._reset_git_revision_memo()
+        try:
+            manifest = build_manifest()
+        finally:
+            provenance._reset_git_revision_memo()
+        assert manifest["git_revision"] == "unknown"
+        assert manifest["git_dirty"] is None
 
 
 class TestSidecar:

@@ -196,3 +196,14 @@ class TestColumnarParity:
         for field in ("accesses", "hits", "misses", "evictions",
                       "bypasses", "miss_rate"):
             assert a[field] == b[field], field
+        # Per shard, on the same stream: the columnar engine's cold fills
+        # come from its public stream accessor, the scalar engine's from
+        # its own counter, and the evictions they imply must agree.
+        scalar_sharded = make(shards=4, engine="scalar")
+        scalar_sharded.process(list(int(a) for a in stream))
+        evictions = [
+            [r.stats.evictions for r in fe.shard_results()]
+            for fe in (columnar, scalar_sharded)
+        ]
+        assert evictions[0] == evictions[1]
+        assert all(e > 0 for e in evictions[0])

@@ -40,7 +40,7 @@ class BuggyGIPPR(GIPPRPolicy):
     def on_hit(self, set_index, way, ctx):
         state = self._state[set_index]
         pos = position(state, way, self.assoc)
-        target = min(self.assoc - 1, self._promo[pos] + 1)
+        target = min(self.assoc - 1, self._promos[0][pos] + 1)
         self._state[set_index] = set_position(
             state, way, target, self.assoc
         )
@@ -52,7 +52,7 @@ def buggy_factories():
 
     def policy_factory():
         ipv = _deserialize_kwargs(kwargs)["ipv"]
-        return BuggyGIPPR(num_sets, assoc, ipv=ipv, kernel="walk")
+        return BuggyGIPPR(num_sets, assoc, ipv=ipv)
 
     def oracle_factory():
         return build_oracle("plru-positions", "gippr",
@@ -204,10 +204,7 @@ class TestRunLevelChecks:
         kwargs = policy_kwargs(name, num_sets, assoc)
         accesses = generate_stream("random-uniform", 0, 1500, num_sets, assoc)
         mismatch = check_lut_walk_equality(
-            lambda kernel="auto": build_policy(
-                name, num_sets, assoc, kwargs, kernel=kernel
-            ),
-            accesses,
+            lambda: build_policy(name, num_sets, assoc, kwargs), accesses
         )
         assert mismatch is None
 
