@@ -83,7 +83,8 @@ smoke-obs:
 # Fast kernel sanity: tables compile (and the compile cache hits), LUT and
 # bit-walk miss counts are bit-identical on a randomized stream, the LUT
 # path is >=2x faster at k=16 than the walk it falls back to without
-# numpy, and policy CacheStats agree lut-vs-walk.
+# numpy, policy CacheStats agree lut-vs-walk, and run_trace's engine route
+# is >=1.5x the per-access cache over PLRU/GIPPR/4-DGIPPR (same misses).
 smoke-kernels:
 	$(PYTHON) scripts/smoke_kernels.py
 

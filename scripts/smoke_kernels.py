@@ -11,7 +11,12 @@ actually fast:
 3. the LUT path is at least 2x faster than the walk at k=16 (the full
    bench, ``make bench-kernels``, measures the headline >=3x);
 4. the policy objects agree: a GIPPR run on tables and one on the walk
-   produce identical CacheStats.
+   produce identical CacheStats;
+5. the figure-matrix dispatch pays: on 20k-access simpoint traces,
+   ``run_trace`` on the scalar engine takes at most 1/1.5 of the
+   per-access cache's time summed over PLRU, GIPPR and 4-DGIPPR, with
+   equal misses per label (about 2x was measured on a 2-CPU host).  The same step prints the ablation of the
+   true-LRU ordered-dict loop against the list-stack loop.
 
 The walk runs where it runs in production at k=16 — with numpy disabled
 at the ``repro.kernels.tables._np`` seam, so no 16-way tables compile —
@@ -28,6 +33,9 @@ from contextlib import contextmanager
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.cache import SetAssociativeCache  # noqa: E402
+from repro.core.vectors import DGIPPR4_WI_VECTORS  # noqa: E402
+from repro.engine import scalar  # noqa: E402
+from repro.eval import ExperimentConfig, run_trace  # noqa: E402
 from repro.ga.fitness import simulate_misses_plru_ipv  # noqa: E402
 from repro.kernels import (  # noqa: E402
     clear_kernel_cache,
@@ -36,11 +44,15 @@ from repro.kernels import (  # noqa: E402
     kernel_provenance,
 )
 from repro.kernels import tables as ktables  # noqa: E402
-from repro.policies import GIPPRPolicy  # noqa: E402
+from repro.policies import GIPPRPolicy, make_policy  # noqa: E402
+from repro.workloads import get_benchmark  # noqa: E402
 from repro.verify.differential import forced_bit_walk  # noqa: E402
 
 NUM_SETS = 128
 ACCESSES = 60_000
+#: The figure matrix's geometry and trace length (perfbench ``figures``).
+FIGURE_BENCHMARKS = ("429.mcf", "462.libquantum", "483.xalancbmk")
+FIGURE_ROUTE_FLOOR = 1.5
 
 
 def make_stream(accesses, num_sets, assoc, seed=17):
@@ -71,6 +83,107 @@ def numpy_disabled():
 def walking(k):
     """The bit-walk for ``k`` ways: the numpy seam at 16, forced below."""
     return numpy_disabled() if k == 16 else forced_bit_walk()
+
+
+def best_of(repeats, *fns):
+    """Per function, ``(result, best wall seconds)`` over ``repeats`` calls.
+
+    The calls alternate between the functions, so a burst of load on a
+    shared host slows both sides of a comparison alike.
+    """
+    best = [None] * len(fns)
+    results = [None] * len(fns)
+    for _ in range(repeats):
+        for index, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            results[index] = fn()
+            seconds = time.perf_counter() - t0
+            if best[index] is None or seconds < best[index]:
+                best[index] = seconds
+    return list(zip(results, best))
+
+
+def per_access_misses(policy, addresses, warmup):
+    """The per-access path: a cache driven one access at a time."""
+    cache = SetAssociativeCache(
+        policy.num_sets, policy.assoc, policy, block_size=1
+    )
+    for addr in addresses[:warmup]:
+        cache.access(addr)
+    cache.reset_stats()
+    for addr in addresses[warmup:]:
+        cache.access(addr)
+    return cache.stats.misses
+
+
+def figure_route():
+    """5. run_trace on the scalar engine vs the per-access cache."""
+    config = ExperimentConfig(
+        num_sets=64, assoc=16, trace_length=20_000, seed=1,
+        apply_env_scale=False,
+    )
+    traces = [
+        get_benchmark(name).trace(
+            0, config.trace_length, config.capacity_blocks, seed=config.seed
+        )
+        for name in FIGURE_BENCHMARKS
+    ]
+    accesses = sum(len(trace) for trace in traces)
+    # run_trace's split: a generated trace may fall a few accesses short.
+    args = [
+        (trace.address_list(), int(len(trace) * config.warmup_fraction))
+        for trace in traces
+    ]
+    engine_total = cache_total = 0.0
+    for label, name, kwargs in (
+        ("PLRU", "plru", {}),
+        ("GIPPR", "gippr", {}),
+        ("4-DGIPPR", "dgippr", {"ipvs": DGIPPR4_WI_VECTORS}),
+    ):
+        def policy():
+            return make_policy(name, config.num_sets, config.assoc, **kwargs)
+
+        (engine, engine_sec), (cache, cache_sec) = best_of(
+            7,
+            lambda: [
+                run_trace(policy(), trace, config).misses for trace in traces
+            ],
+            lambda: [
+                per_access_misses(policy(), addresses, warmup)
+                for addresses, warmup in args
+            ],
+        )
+        assert engine == cache, f"{label}: engine {engine} != cache {cache}"
+        engine_total += engine_sec
+        cache_total += cache_sec
+        print(f"figure route {label:>8}: {cache_sec / engine_sec:.2f}x "
+              f"(per-access {accesses / cache_sec / 1e3:5.0f}k acc/s, "
+              f"engine {accesses / engine_sec / 1e3:5.0f}k acc/s)")
+    # The floor holds on the summed time: a host speed change during one
+    # label's repeats then moves the ratio by a third as much.
+    speedup = cache_total / engine_total
+    print(f"figure route    total: {speedup:.2f}x")
+    assert speedup >= FIGURE_ROUTE_FLOOR, (
+        f"engine route only {speedup:.2f}x the per-access path"
+    )
+
+    sets, ways = config.num_sets, config.assoc
+    lru = (0,) * (ways + 1)
+    (ordered, ordered_sec), (stack, stack_sec) = best_of(
+        5,
+        lambda: [
+            scalar._lru_misses(addresses, sets, ways, warmup, None)
+            for addresses, warmup in args
+        ],
+        lambda: [
+            scalar._ipv_lru_misses(addresses, sets, ways, lru, warmup, None)
+            for addresses, warmup in args
+        ],
+    )
+    assert ordered == stack, f"LRU: ordered dict {ordered} != list {stack}"
+    print(f"true-LRU ablation: ordered dict {stack_sec / ordered_sec:.2f}x "
+          f"the list-stack loop ({accesses / ordered_sec / 1e3:.0f}k vs "
+          f"{accesses / stack_sec / 1e3:.0f}k acc/s)")
 
 
 def main():
@@ -149,6 +262,8 @@ def main():
         f"policy stats diverge: {stats['walk']} vs {stats['lut']}"
     )
     print(f"policy stats lut == walk OK   [{stats['lut']}]")
+
+    figure_route()
 
     prov = kernel_provenance()
     print(f"kernel provenance: mode={prov['mode']}, "

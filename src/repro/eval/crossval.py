@@ -38,7 +38,7 @@ def lru_miss_rates(
     benchmarks: Sequence[str], config: ExperimentConfig
 ) -> Dict[str, float]:
     """Measured-window LRU miss rate per benchmark (weighted by simpoint)."""
-    from ..ga.fitness import simulate_misses_lru_ipv
+    from ..engine.scalar import simulate_misses_lru_ipv
 
     baseline = tuple(lru_ipv(config.assoc).entries)
     rates: Dict[str, float] = {}

@@ -6,9 +6,10 @@ function of miss count — exactly the paper's simplified fitness, which it
 notes runs in minutes where a performance simulation takes hours.
 
 The evaluator skips the general cache machinery: the GA calls its
-simulators millions of times.  The true-LRU-IPV simulator is a plain
-list loop here; the PLRU-IPV simulator is a one-shot call into the scalar
-executor :class:`repro.engine.scalar.ScalarStreamSimulator` (table
+simulators millions of times.  Both come from the scalar engine: the
+true-LRU-IPV simulator is :func:`repro.engine.scalar.simulate_misses_lru_ipv`
+(re-exported here), the PLRU-IPV simulator a one-shot call into
+:class:`repro.engine.scalar.ScalarStreamSimulator` (table
 lookups when :mod:`repro.kernels` compiles tables, bit-walks otherwise),
 and :meth:`FitnessEvaluator.evaluate_many` batches whole populations
 through the columnar engine when numpy is present and the batch has at
@@ -29,7 +30,11 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.ipv import IPV, lru_ipv
-from ..engine.scalar import ScalarStreamSimulator
+from ..engine.scalar import (
+    ScalarStreamSimulator,
+    _validate_window,
+    simulate_misses_lru_ipv,
+)
 from ..eval.config import ExperimentConfig, default_config
 from ..kernels import normalize_ipv_entries, record_kernel_call
 from ..timing import LinearCPIModel
@@ -43,71 +48,6 @@ __all__ = [
     "columnar_memo_stats",
     "publish_columnar_memo_gauges",
 ]
-
-
-def _validate_window(addresses: Sequence[int], warmup: int) -> None:
-    """Reject degenerate measurement windows.
-
-    ``warmup >= len(addresses)`` used to yield a silently empty measured
-    window: every simulator returned 0 misses, so fitness compared 0-vs-0
-    cycles and ranked all IPVs equal without any diagnostic.  Raise
-    instead — a caller who wants a pure-warmup run is holding a config
-    bug, not a result.
-    """
-    if warmup < 0:
-        raise ValueError(f"warmup must be non-negative, got {warmup}")
-    if warmup >= len(addresses):
-        raise ValueError(
-            f"warmup ({warmup}) consumes the whole trace "
-            f"({len(addresses)} accesses): the measured window is empty"
-        )
-
-
-def simulate_misses_lru_ipv(
-    addresses: Sequence[int],
-    num_sets: int,
-    assoc: int,
-    entries: Sequence[int],
-    warmup: int,
-    miss_indices: Optional[List[int]] = None,
-) -> int:
-    """Misses in the measured window for an IPV on true-LRU stacks.
-
-    Each set's recency stack is a list of block addresses, MRU first.
-    Returns misses at indices >= ``warmup``; when ``miss_indices`` is given,
-    the access index of every measured miss is appended to it (for
-    MLP-aware fitness).
-    """
-    entries = normalize_ipv_entries(assoc, entries)
-    _validate_window(addresses, warmup)
-    promo = list(entries[:assoc])
-    insert = entries[assoc]
-    mask = num_sets - 1
-    stacks: List[List[int]] = [[] for _ in range(num_sets)]
-    misses = 0
-    for i, addr in enumerate(addresses):
-        stack = stacks[addr & mask]
-        try:
-            pos = stack.index(addr)
-        except ValueError:
-            if i >= warmup:
-                misses += 1
-                if miss_indices is not None:
-                    miss_indices.append(i)
-            if len(stack) >= assoc:
-                stack.pop()  # evict LRU
-            # Incoming block conceptually lands at LRU then moves to V[k].
-            stack.append(addr)
-            pos = len(stack) - 1
-            new = insert if insert < len(stack) else len(stack) - 1
-        else:
-            new = promo[pos]
-            if new >= len(stack):
-                new = len(stack) - 1
-        if new != pos:
-            del stack[pos]
-            stack.insert(new, addr)
-    return misses
 
 
 def simulate_misses_plru_ipv(

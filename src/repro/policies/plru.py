@@ -15,11 +15,14 @@ onto PseudoLRU recency-stack positions:
   paper specifies.
 
 They share one base for the per-set state, victim selection, position
-decoding and the bit-walk fallback.  The path is picked from what the
+decoding and the bit-walk fallback.  Untraced figure runs do not call
+these hooks: :func:`repro.eval.runner.run_trace` hands the policy's
+``vectors`` (and a duel's ``selector``) to the scalar engine.  The hooks
+serve traced runs, cache hierarchies, multicore runs, the goldens and
+the differential checks.  The path is picked from what the
 code observes: when :func:`repro.kernels.tables.compile_tables` returns
 tables for every vector, victim selection and the composed hit/fill
-transitions are single ``array('H')`` lookups, inlined in each hook
-because the figure runs drive these policies one access at a time;
+transitions are single ``array('H')`` lookups, inlined in each hook;
 otherwise (associativity above :data:`repro.kernels.MAX_TABLE_ASSOC`, or
 16 ways without numpy) the Figure 5/7/9 bit-walks of :mod:`repro.core.plru`
 run.  The two paths are bit-identical; ``kernel_mode`` (``"lut"`` or
@@ -51,6 +54,8 @@ class _PLRUTree(ReplacementPolicy):
     ):
         super().__init__(num_sets, assoc)
         self._state: List[int] = [0] * num_sets
+        #: The IPVs as entry tuples, indexed like the selector's policies.
+        self.vectors = [tuple(v) for v in vectors]
         self._promos = [tuple(v[:assoc]) for v in vectors]
         self._inserts = [v[assoc] for v in vectors]
         # All-or-nothing: one composed hit/fill pair per vector.

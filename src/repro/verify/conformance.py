@@ -44,6 +44,7 @@ from .differential import (
     check_belady_dominance,
     check_columnar_equality,
     check_duel_columnar_equality,
+    check_engine_route_equality,
     check_lut_walk_equality,
     diff_stream,
 )
@@ -82,6 +83,12 @@ _DOMINANCE_STREAMS = ("cyclic-over-capacity", "zipf-hot")
 #: Policies whose production path steps on the transition tables, with a
 #: bit-walk fallback that must match it.
 _KERNEL_POLICIES = frozenset({"plru", "gippr", "dgippr"})
+
+#: The IPV family, whose classes ``repro.eval.runner.run_trace`` runs on
+#: the scalar engine (true LRU only with the classic vector).
+_ROUTED_POLICIES = frozenset(
+    {"lru", "ipv-lru", "giplr", "plru", "gippr", "dgippr"}
+)
 
 #: Policies that may bypass (Belady dominance does not apply to them).
 _BYPASSING = frozenset({"bypass-dgippr"})
@@ -427,6 +434,26 @@ def verify_policy(
                 report.lut_walk_failures.append(
                     f"{num_sets}x{assoc}: columnar: {columnar_mismatch}"
                 )
+
+    # Run-level: run_trace's engine route against the per-access cache,
+    # on every stress stream (reported into the same bucket, prefixed).
+    if name in _ROUTED_POLICIES and (not report.divergences or not fail_fast):
+        for num_sets, assoc in (DEFAULT_GEOMETRIES[0], KERNEL_GEOMETRY):
+            kwargs = policy_kwargs(name, num_sets, assoc)
+
+            def factory():
+                return build_policy(name, num_sets, assoc, kwargs)
+
+            for stream in stream_names():
+                accesses = generate_stream(
+                    stream, seeds[0], max(512, n_per_cell), num_sets, assoc
+                )
+                mismatch = check_engine_route_equality(factory, accesses)
+                if mismatch is not None:
+                    report.lut_walk_failures.append(
+                        f"{num_sets}x{assoc} {stream}: engine route: "
+                        f"{mismatch}"
+                    )
 
     # Run-level: Belady dominance (demand-fetch, non-bypassing policies).
     if (

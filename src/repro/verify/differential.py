@@ -31,6 +31,7 @@ from contextlib import contextmanager, nullcontext
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
 from ..cache.cache import SetAssociativeCache
+from ..core.dueling import SaturatingCounter
 from ..kernels import tables as _tables
 from ..policies.base import ReplacementPolicy
 from .invariants import Invariant, check_invariants, default_invariants
@@ -43,7 +44,9 @@ __all__ = [
     "check_lut_walk_equality",
     "check_columnar_equality",
     "check_duel_columnar_equality",
+    "check_engine_route_equality",
     "check_belady_dominance",
+    "duel_counters",
     "forced_bit_walk",
 ]
 
@@ -397,6 +400,86 @@ def check_duel_columnar_equality(
                 f"duel columnar final positions mismatch in set {s}: "
                 f"{got} != {want}"
             )
+    return None
+
+
+def duel_counters(policy: ReplacementPolicy) -> Optional[List[int]]:
+    """Values of every set-dueling counter of ``policy.selector``.
+
+    ``None`` for policies without a selector.  Covers the PSEL of a
+    2-way duel, the pair and meta counters of a 4-way tournament and
+    each level of a bracket.
+    """
+    selector = getattr(policy, "selector", None)
+    if selector is None:
+        return None
+    found = [v for v in vars(selector).values()
+             if isinstance(v, SaturatingCounter)]
+    for level in getattr(selector, "levels", ()):
+        found.extend(level)
+    return [c.value for c in found]
+
+
+def check_engine_route_equality(
+    policy_factory: Callable[[], ReplacementPolicy],
+    accesses: Sequence[int],
+    warmup_fraction: float = 0.25,
+) -> Optional[str]:
+    """Bit-identity of :func:`repro.eval.runner.run_trace` against the
+    per-access cache.
+
+    ``run_trace`` runs the paper's IPV family on the scalar engine
+    (:mod:`repro.engine.scalar`); this drives a second ``policy_factory``
+    instance through :class:`~repro.cache.cache.SetAssociativeCache` here
+    and compares the measured misses, hits, evictions, miss positions and
+    the final set-dueling counters — once on the tables and once under
+    :func:`forced_bit_walk`, where both sides walk.  Returns a mismatch
+    description or ``None``; policies ``run_trace`` keeps per access
+    compare trivially.
+    """
+    from ..eval.config import ExperimentConfig
+    from ..eval.runner import run_trace
+    from ..trace.record import Trace
+
+    trace = Trace(list(accesses), instructions=len(accesses))
+    warmup = int(len(accesses) * warmup_fraction)
+    for mode in ("lut", "walk"):
+        with forced_bit_walk() if mode == "walk" else nullcontext():
+            policy = policy_factory()
+            config = ExperimentConfig(
+                num_sets=policy.num_sets, assoc=policy.assoc,
+                trace_length=len(accesses), warmup_fraction=warmup_fraction,
+                apply_env_scale=False,
+            )
+            stats: dict = {}
+            result = run_trace(
+                policy, trace, config, collect_miss_positions=True,
+                stats_sink=stats,
+            )
+            reference = policy_factory()
+        cache = _build_cache(reference)
+        for block in accesses[:warmup]:
+            cache.access(block)
+        cache.reset_stats()
+        want_positions = [
+            i for i in range(warmup, len(accesses))
+            if not cache.access(accesses[i])
+        ]
+        for field, got, want in (
+            ("misses", stats["misses"], cache.stats.misses),
+            ("hits", stats["hits"], cache.stats.hits),
+            ("evictions", stats["evictions"], cache.stats.evictions),
+            ("miss positions", result.miss_positions, want_positions),
+            ("set-dueling counters", duel_counters(policy),
+             duel_counters(reference)),
+        ):
+            if got != want:
+                if field == "miss positions":
+                    got, want = len(got), len(want)  # keep the message short
+                return (
+                    f"run_trace-vs-cache ({mode}) {field} mismatch: "
+                    f"{got!r} != {want!r}"
+                )
     return None
 
 

@@ -15,9 +15,15 @@ Registers hypothesis settings profiles so the property tests
 
 Hypothesis itself is optional (the ``test``/``dev`` extras provide it);
 without it the property tests skip and this module does nothing.
+
+Every test also gets the ``repro`` logger back as it found it (see
+:func:`_restore_repro_logger`).
 """
 
+import logging
 import os
+
+import pytest
 
 try:
     from hypothesis import settings
@@ -33,3 +39,20 @@ if settings is not None:
         _profile = "ci"
     if _profile is not None:
         settings.load_profile(_profile)
+
+
+@pytest.fixture(autouse=True)
+def _restore_repro_logger():
+    """Undo :func:`repro.obs.logconfig.configure_logging` after each test.
+
+    CLI tests call it, which leaves a handler on that test's captured
+    stderr (closed once the test ends) and ``propagate=False``, so later
+    tests' ``repro`` records never reach ``caplog``.
+    """
+    logger = logging.getLogger("repro")
+    handlers = list(logger.handlers)
+    level, propagate = logger.level, logger.propagate
+    yield
+    logger.handlers[:] = handlers
+    logger.setLevel(level)
+    logger.propagate = propagate

@@ -1,11 +1,26 @@
 """Tests for the trace runner and benchmark aggregation."""
 
+import random
+
 import pytest
 
+from repro.cache import SetAssociativeCache
+from repro.core.ipv import IPV, lip_ipv, lru_ipv, mru_pessimistic_ipv
+from repro.core.vectors import DGIPPR2_WI_VECTORS, DGIPPR4_WI_VECTORS
 from repro.eval import default_config, run_benchmark, run_trace
+from repro.eval import runner
 from repro.eval.runner import BenchmarkResult, RunResult
+from repro.kernels import tables as ktables
+from repro.obs import Tracer
 from repro.policies import BeladyPolicy, TrueLRUPolicy, make_policy
-from repro.trace import Trace, looping, streaming
+from repro.trace import (
+    Trace,
+    annotate_next_use,
+    assign_instruction_positions,
+    looping,
+    streaming,
+)
+from repro.verify.differential import duel_counters
 from repro.workloads import get_benchmark
 
 
@@ -179,3 +194,138 @@ class TestWeightedMpki:
         runs = [RunResult("a", "lru", accesses=0, misses=0, instructions=0)]
         agg = BenchmarkResult("x", "lru", runs, [1.0])
         assert agg.mpki == 0.0
+
+
+def _ipv(assoc, seed):
+    rng = random.Random(seed)
+    return IPV([rng.randrange(assoc) for _ in range(assoc + 1)], name="rand")
+
+
+def _route_kwargs(label, assoc):
+    """Constructor kwargs per test label; paper vectors at 16 ways."""
+    if label == "ipv-lru":
+        return {"ipv": lru_ipv(assoc)}
+    if label == "ipv-lru-mru":
+        return {"ipv": mru_pessimistic_ipv(assoc)}
+    if label in ("giplr", "gippr") and assoc != 16:
+        return {"ipv": _ipv(assoc, 3)}
+    if label == "2-dgippr":
+        if assoc == 16:
+            return {"ipvs": DGIPPR2_WI_VECTORS}
+        return {"ipvs": [lru_ipv(assoc), lip_ipv(assoc)]}
+    if label == "4-dgippr":
+        if assoc == 16:
+            return {"ipvs": DGIPPR4_WI_VECTORS}
+        return {"ipvs": [lru_ipv(assoc), lip_ipv(assoc), _ipv(assoc, 4),
+                         _ipv(assoc, 5)]}
+    return {}
+
+
+def _route_policy(label, num_sets, assoc):
+    name = {"ipv-lru-mru": "ipv-lru", "2-dgippr": "dgippr",
+            "4-dgippr": "dgippr"}.get(label, label)
+    return make_policy(name, num_sets, assoc, **_route_kwargs(label, assoc))
+
+
+def _hand_driven(policy, trace, config):
+    """The per-access reference: a SetAssociativeCache driven here."""
+    cache = SetAssociativeCache(
+        config.num_sets, config.assoc, policy, block_size=1
+    )
+    addresses = trace.address_list()
+    pcs = trace.pc_list()
+    next_use = annotate_next_use(trace)
+    warmup = int(len(addresses) * config.warmup_fraction)
+    for i in range(warmup):
+        cache.access(addresses[i], pcs[i], next_use=next_use[i])
+    cache.reset_stats()
+    positions = trace.position_list()
+    miss_positions = [
+        positions[i] for i in range(warmup, len(addresses))
+        if not cache.access(addresses[i], pcs[i], next_use=next_use[i])
+    ]
+    cache.stats.instructions = trace.instructions - positions[warmup]
+    return cache.stats.snapshot(), miss_positions
+
+
+class TestEngineRoute:
+    """Without a tracer, ``run_trace`` runs the IPV family on the scalar
+    engine; the result must equal a per-access cache run exactly."""
+
+    ROUTED = ("lru", "ipv-lru", "plru", "gippr", "2-dgippr", "4-dgippr")
+    PER_ACCESS = ("ipv-lru-mru", "giplr", "bypass-dgippr", "drrip", "pdp",
+                  "belady")
+
+    @pytest.fixture
+    def caches_built(self, monkeypatch):
+        built = []
+
+        class Spy(SetAssociativeCache):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(runner, "SetAssociativeCache", Spy)
+        return built
+
+    def _compare(self, label, num_sets, assoc, caches_built):
+        config = default_config(trace_length=6000, warmup_fraction=0.25)
+        config = config.scaled(num_sets=num_sets, assoc=assoc)
+        for bench, simpoint in (("429.mcf", 0), ("462.libquantum", 0)):
+            trace = assign_instruction_positions(
+                get_benchmark(bench).trace(
+                    simpoint, config.trace_length, config.capacity_blocks,
+                    seed=3,
+                ),
+                seed=5, burstiness=0.5,
+            )
+            reference = _route_policy(label, num_sets, assoc)
+            want_stats, want_positions = _hand_driven(
+                reference, trace, config
+            )
+            policy = _route_policy(label, num_sets, assoc)
+            stats = {}
+            del caches_built[:]
+            result = run_trace(
+                policy, trace, config, collect_miss_positions=True,
+                stats_sink=stats,
+            )
+            assert stats == want_stats, (label, bench)
+            assert result.misses == want_stats["misses"]
+            assert result.accesses == want_stats["accesses"]
+            assert result.instructions == want_stats["instructions"]
+            assert result.miss_positions == want_positions
+            assert duel_counters(policy) == duel_counters(reference)
+            routed = not caches_built
+        return routed
+
+    @pytest.mark.parametrize("label", ROUTED + PER_ACCESS)
+    def test_tables_geometry(self, label, caches_built):
+        routed = self._compare(label, 64, 16, caches_built)
+        assert routed == (label in self.ROUTED)
+
+    @pytest.mark.parametrize("label", ROUTED)
+    def test_walk_geometry(self, label, caches_built):
+        assert self._compare(label, 8, 32, caches_built)
+
+    @pytest.mark.parametrize("label", ROUTED)
+    def test_sixteen_ways_without_numpy(self, label, caches_built,
+                                        monkeypatch):
+        monkeypatch.setattr(ktables, "_np", None)
+        assert self._compare(label, 16, 16, caches_built)
+
+    @pytest.mark.parametrize("label", ("plru", "4-dgippr", "lru"))
+    def test_tracer_keeps_per_access_path(self, label, caches_built):
+        config = default_config(trace_length=2000).scaled(
+            num_sets=16, assoc=16
+        )
+        trace = get_benchmark("429.mcf").trace(
+            0, config.trace_length, config.capacity_blocks, seed=1
+        )
+        traced = run_trace(
+            _route_policy(label, 16, 16), trace, config, tracer=Tracer()
+        )
+        assert len(caches_built) == 1
+        untraced = run_trace(_route_policy(label, 16, 16), trace, config)
+        assert len(caches_built) == 1
+        assert traced.misses == untraced.misses
