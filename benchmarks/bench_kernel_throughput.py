@@ -10,14 +10,14 @@ Measures the claims behind :mod:`repro.kernels` and
    the same evaluator on the bit-walk — asserting the evolved best vector
    is identical;
 3. a GA-population batch (many IPV lanes over one shared trace pass)
-   through :class:`repro.engine.columnar.BatchSimulator` versus a per-lane
-   walk loop — the headline multi-lane speedup, again bit-identical.
+   through :class:`repro.engine.columnar.BatchSimulator` versus the
+   per-lane scalar table executor that ``FitnessEvaluator`` runs below
+   :data:`repro.engine.columnar.MIN_BATCH_LANES` — the evidence for that
+   threshold, again bit-identical.
 
-Runs two ways:
-
-* under pytest-benchmark as part of ``make bench``;
-* as a script (``make bench-kernels``), writing ``BENCH_kernels.json``
-  plus a provenance manifest sidecar at the repository root.
+Runs under pytest-benchmark as part of ``make bench``; ``make
+bench-check`` runs the same cases once each at a small ``REPRO_SCALE``
+with timing disabled, so the bit-identity assertions gate CI.
 
 The walk runs where it runs in production at k=16 — with numpy disabled
 at the ``repro.kernels.tables._np`` seam, so no 16-way tables compile —
@@ -29,42 +29,37 @@ benches.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import random
-import sys
 import time
 from contextlib import contextmanager
-from pathlib import Path
 
-if __name__ == "__main__":  # script mode: make src importable
-    sys.path.insert(
-        0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-    )
+import pytest
 
-from repro.engine import columnar as _columnar  # noqa: E402
-from repro.engine.columnar import (  # noqa: E402
+from repro.engine import columnar as _columnar
+from repro.engine.columnar import (
     BatchSimulator,
     ColumnarTrace,
     columnar_supported,
     simulate_misses_plru_columnar,
 )
-from repro.ga.fitness import (  # noqa: E402
+from repro.ga.fitness import (
     FitnessEvaluator,
     simulate_misses_plru_ipv,
 )
-from repro.ga.genetic import evolve_ipv  # noqa: E402
-from repro.kernels import compile_tables, kernel_provenance  # noqa: E402
-from repro.kernels import tables as _ktables  # noqa: E402
-from repro.verify.differential import forced_bit_walk  # noqa: E402
+from repro.ga.genetic import evolve_ipv
+from repro.kernels import compile_tables
+from repro.kernels import tables as _ktables
+from repro.verify.differential import forced_bit_walk
 
-#: Default accesses per simulated stream (script mode; pytest uses fewer).
+#: Default accesses per simulated stream (the pytest cases use fewer).
 DEFAULT_ACCESSES = 200_000
 ASSOCIATIVITIES = (4, 8, 16)
 NUM_SETS = 256
-#: Lanes in the GA-population batch bench — one typical population's worth.
-POPULATION_LANES = 24
+#: The population batch runs at the GA's geometry and trace length.
+POPULATION_SETS = 64
+POPULATION_ACCESSES = 8_000
+POPULATION_REPEATS = 7
 
 
 def _scale() -> float:
@@ -160,60 +155,60 @@ def measure_sim_throughput(assoc: int, accesses: int) -> dict:
     return row
 
 
-def measure_population_batch(
-    assoc: int = 16,
-    accesses: int = DEFAULT_ACCESSES,
-    lanes: int = POPULATION_LANES,
-) -> dict:
-    """Time a GA population evaluated per-lane (walk) vs in one columnar
-    batch; assert bit-identical misses on every lane.
+def measure_population_batch(lanes: int) -> dict:
+    """Time a GA population evaluated lane by lane on the scalar table
+    executor vs in one columnar batch; assert bit-identical misses on
+    every lane.
 
-    This is the scenario the columnar engine exists for: ``lanes`` IPVs
-    share one pass over the trace, so the tag-compare work is amortized
-    across the whole population instead of repeated per individual.
+    The per-lane side is what ``FitnessEvaluator.evaluate_many`` runs for
+    batches under :data:`repro.engine.columnar.MIN_BATCH_LANES`, at the
+    GA's geometry and trace length (``ga_config``).  Each side reports
+    its best of :data:`POPULATION_REPEATS` alternating runs.
     """
-    stream = make_stream(accesses, NUM_SETS, assoc)
+    assoc, num_sets, accesses = 16, POPULATION_SETS, POPULATION_ACCESSES
+    stream = make_stream(accesses, num_sets, assoc)
     warmup = accesses // 10
     population = [bench_ipv(assoc, seed=100 + i) for i in range(lanes)]
-    # Construct the simulator outside the timed region: _LaneTables holds
-    # its own table references, so this is the "compile outside the timed
-    # region" idiom of the other benches (a precompile loop would not do —
-    # `lanes` can exceed the kernel LRU capacity and churn the cache).
-    simulator = BatchSimulator(NUM_SETS, assoc, population, warmup)
+    # Construct the simulator outside the timed region: it holds its own
+    # table references, so the per-lane runs below find their tables
+    # compiled too.
+    simulator = BatchSimulator(num_sets, assoc, population, warmup)
 
-    with walking(assoc):
+    tables_sec = columnar_sec = float("inf")
+    for _ in range(POPULATION_REPEATS):
         t0 = time.perf_counter()
-        walk_misses = [
-            simulate_misses_plru_ipv(stream, NUM_SETS, assoc, entries, warmup)
+        per_lane = [
+            simulate_misses_plru_ipv(stream, num_sets, assoc, entries, warmup)
             for entries in population
         ]
-        walk_sec = time.perf_counter() - t0
+        tables_sec = min(tables_sec, time.perf_counter() - t0)
 
-    # Trace preprocessing is part of the measured columnar cost — unlike
-    # table compilation it cannot be cached across fresh streams.
-    t0 = time.perf_counter()
-    trace = ColumnarTrace(stream, NUM_SETS)
-    columnar = simulator.run(trace)
-    columnar_sec = time.perf_counter() - t0
+        # Trace preprocessing is part of the measured columnar cost —
+        # unlike table compilation it cannot be cached across fresh
+        # streams.
+        t0 = time.perf_counter()
+        columnar = simulator.run(ColumnarTrace(stream, num_sets))
+        columnar_sec = min(columnar_sec, time.perf_counter() - t0)
 
     mismatched = [
-        (i, int(columnar[i]), walk_misses[i])
+        (i, int(columnar[i]), per_lane[i])
         for i in range(lanes)
-        if int(columnar[i]) != walk_misses[i]
+        if int(columnar[i]) != per_lane[i]
     ]
     if mismatched:
         raise AssertionError(
-            f"columnar misses diverge from walk on {len(mismatched)} lanes: "
-            f"{mismatched[:3]}"
+            f"columnar misses diverge from the scalar tables on "
+            f"{len(mismatched)} lanes: {mismatched[:3]}"
         )
     return {
         "assoc": assoc,
+        "num_sets": num_sets,
         "accesses": accesses,
         "lanes": lanes,
-        "misses": walk_misses,
-        "walk_sec": walk_sec,
+        "misses": per_lane,
+        "tables_sec": tables_sec,
         "columnar_sec": columnar_sec,
-        "speedup": walk_sec / columnar_sec,
+        "speedup": tables_sec / columnar_sec,
         "lane_accesses_per_sec": (lanes * accesses) / columnar_sec,
     }
 
@@ -437,262 +432,105 @@ def measure_ga_generation(trace_length: int = 6_000) -> dict:
 # ----------------------------------------------------------------------
 # pytest-benchmark entry points (part of ``make bench``).
 # ----------------------------------------------------------------------
-try:
-    import pytest
-except ImportError:  # pragma: no cover - script mode without pytest
-    pytest = None
-
-if pytest is not None:
-
-    @pytest.mark.parametrize("assoc", list(ASSOCIATIVITIES))
-    def test_kernel_sim_throughput(benchmark, assoc):
-        accesses = max(10_000, int(60_000 * _scale()))
-        entries = bench_ipv(assoc)
-        stream = make_stream(accesses, NUM_SETS, assoc)
-        warmup = accesses // 10
-        compile_tables(assoc, entries)
-        with walking(assoc):
-            walk = simulate_misses_plru_ipv(
-                stream, NUM_SETS, assoc, entries, warmup
-            )
-        lut = benchmark(
-            simulate_misses_plru_ipv,
-            stream, NUM_SETS, assoc, entries, warmup,
+@pytest.mark.parametrize("assoc", list(ASSOCIATIVITIES))
+def test_kernel_sim_throughput(benchmark, assoc):
+    accesses = max(10_000, int(60_000 * _scale()))
+    entries = bench_ipv(assoc)
+    stream = make_stream(accesses, NUM_SETS, assoc)
+    warmup = accesses // 10
+    compile_tables(assoc, entries)
+    with walking(assoc):
+        walk = simulate_misses_plru_ipv(
+            stream, NUM_SETS, assoc, entries, warmup
         )
-        # Bit-exactness is the bench's correctness bar.
-        assert lut == walk
-        row = measure_sim_throughput(assoc, accesses)
-        benchmark.extra_info["speedup_vs_walk"] = row["speedup"]
-        benchmark.extra_info["lut_accesses_per_sec"] = row[
-            "lut_accesses_per_sec"
-        ]
-        # The LUT path must never lose to the walk it memoizes.
+    lut = benchmark(
+        simulate_misses_plru_ipv,
+        stream, NUM_SETS, assoc, entries, warmup,
+    )
+    # Bit-exactness is the bench's correctness bar.
+    assert lut == walk
+    row = measure_sim_throughput(assoc, accesses)
+    benchmark.extra_info["speedup_vs_walk"] = row["speedup"]
+    benchmark.extra_info["lut_accesses_per_sec"] = row[
+        "lut_accesses_per_sec"
+    ]
+    # The LUT path must never lose to the walk it memoizes.
+    assert row["speedup"] > 1.0
+
+
+@pytest.mark.parametrize("lanes", [2, 4, 8])
+def test_kernel_population_batch(benchmark, lanes):
+    if not columnar_supported(16):
+        pytest.skip("columnar engine needs numpy")
+    row = benchmark.pedantic(
+        measure_population_batch,
+        kwargs={"lanes": lanes},
+        rounds=1, iterations=1,
+    )
+    benchmark.extra_info["speedup_vs_tables"] = row["speedup"]
+    benchmark.extra_info["lane_accesses_per_sec"] = row[
+        "lane_accesses_per_sec"
+    ]
+    # From the dispatch threshold up, one batch must beat running the
+    # lanes one by one on the tables.
+    if lanes >= _columnar.MIN_BATCH_LANES:
         assert row["speedup"] > 1.0
 
-    def test_kernel_population_batch(benchmark):
-        if not columnar_supported(16):
-            pytest.skip("columnar engine needs numpy")
-        accesses = max(10_000, int(60_000 * _scale()))
-        row = benchmark.pedantic(
-            measure_population_batch,
-            kwargs={"accesses": accesses, "lanes": 8},
-            rounds=1, iterations=1,
-        )
-        benchmark.extra_info["speedup_vs_walk"] = row["speedup"]
-        benchmark.extra_info["lane_accesses_per_sec"] = row[
-            "lane_accesses_per_sec"
-        ]
-        # Batching a population must beat evaluating its lanes one by one.
-        assert row["speedup"] > 1.0
 
-    def test_kernel_analytics_profile(benchmark):
-        from repro.kernels.tables import numpy_or_none
-
-        if numpy_or_none() is None:
-            pytest.skip("vectorized profiler needs numpy")
-        accesses = max(10_000, int(60_000 * _scale()))
-        row = benchmark.pedantic(
-            measure_analytics_profile,
-            kwargs={"accesses": accesses, "oracle_accesses": 20_000},
-            rounds=1, iterations=1,
-        )
-        benchmark.extra_info["speedup_vs_oracle"] = row["speedup_vs_oracle"]
-        benchmark.extra_info["profile_accesses_per_sec"] = row[
-            "profile_accesses_per_sec"
-        ]
-        # The vectorized pass must beat the OrderedDict stack walk.
-        assert row["speedup_vs_oracle"] > 1.0
-
-    def test_kernel_population_surrogate(benchmark):
-        from repro.kernels.tables import numpy_or_none
-
-        if numpy_or_none() is None:
-            pytest.skip("vectorized surrogate scoring needs numpy")
-        row = benchmark.pedantic(
-            measure_population_surrogate,
-            kwargs={
-                "trace_length": max(2_000, int(4_000 * _scale())),
-                "population": max(120, int(600 * _scale())),
-            },
-            rounds=1, iterations=1,
-        )
-        benchmark.extra_info["generation_speedup"] = row["generation_speedup"]
-        benchmark.extra_info["surrogate_score_per_sec"] = row[
-            "surrogate_score_per_sec"
-        ]
-        # Skipping ~90% of the simulations must beat simulating everyone
-        # (measure_population_surrogate already asserts bit-identity of
-        # the survivors' fitness).
-        assert row["generation_speedup"] > 1.0
-
-    def test_kernel_ga_generation(benchmark):
-        # Note: each *new* k=16 vector pays a ~20 ms table compile, so the
-        # LUT only wins once traces are long enough to amortize it (the
-        # script-mode default is; tiny REPRO_SCALE runs may not be).  The
-        # assertion here is the determinism contract — same evolved best
-        # across kernels — which measure_ga_generation itself enforces.
-        trace_length = max(2_000, int(4_000 * _scale()))
-        row = benchmark.pedantic(
-            measure_ga_generation,
-            kwargs={"trace_length": trace_length},
-            rounds=1, iterations=1,
-        )
-        benchmark.extra_info["speedup"] = row["speedup"]
-        benchmark.extra_info["best_entries"] = row["best_entries"]
-        assert row["walk_wall_sec"] > 0 and row["lut_wall_sec"] > 0
-
-
-# ----------------------------------------------------------------------
-# Script mode (``make bench-kernels``): write BENCH_kernels.json.
-# ----------------------------------------------------------------------
-def collect(accesses: int, ga_trace_length: int) -> dict:
-    sim_rows = [measure_sim_throughput(k, accesses) for k in ASSOCIATIVITIES]
-    ga_row = measure_ga_generation(trace_length=ga_trace_length)
-    results = {
-        "schema": "repro-bench-kernels/1",
-        "created_at": time.strftime(
-            "%Y-%m-%dT%H:%M:%S%z", time.localtime()
-        ),
-        "stream": {"num_sets": NUM_SETS, "accesses": accesses},
-        "sim_throughput": sim_rows,
-        "ga_generation": ga_row,
-        "kernels": kernel_provenance(),
-    }
-    if columnar_supported(16):
-        results["population_batch"] = measure_population_batch(
-            accesses=accesses
-        )
+def test_kernel_analytics_profile(benchmark):
     from repro.kernels.tables import numpy_or_none
 
-    if numpy_or_none() is not None:
-        # The speed claim is about the vectorized path; without numpy the
-        # profiler falls back to the oracle walk and the row is meaningless.
-        results["analytics_profile"] = measure_analytics_profile(
-            accesses=accesses
-        )
-        results["population_surrogate"] = measure_population_surrogate(
-            trace_length=ga_trace_length,
-            population=max(200, int(1_500 * _scale())),
-        )
-    return results
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--out",
-        default=str(Path(__file__).resolve().parent.parent / "BENCH_kernels.json"),
-        help="output JSON path (default: repo root BENCH_kernels.json)",
+    if numpy_or_none() is None:
+        pytest.skip("vectorized profiler needs numpy")
+    accesses = max(10_000, int(60_000 * _scale()))
+    row = benchmark.pedantic(
+        measure_analytics_profile,
+        kwargs={"accesses": accesses, "oracle_accesses": 20_000},
+        rounds=1, iterations=1,
     )
-    parser.add_argument(
-        "--accesses", type=int,
-        default=max(20_000, int(DEFAULT_ACCESSES * _scale())),
-        help="accesses per simulated stream",
+    benchmark.extra_info["speedup_vs_oracle"] = row["speedup_vs_oracle"]
+    benchmark.extra_info["profile_accesses_per_sec"] = row[
+        "profile_accesses_per_sec"
+    ]
+    # The vectorized pass must beat the OrderedDict stack walk.
+    assert row["speedup_vs_oracle"] > 1.0
+
+
+def test_kernel_population_surrogate(benchmark):
+    from repro.kernels.tables import numpy_or_none
+
+    if numpy_or_none() is None:
+        pytest.skip("vectorized surrogate scoring needs numpy")
+    row = benchmark.pedantic(
+        measure_population_surrogate,
+        kwargs={
+            "trace_length": max(2_000, int(4_000 * _scale())),
+            "population": max(120, int(600 * _scale())),
+        },
+        rounds=1, iterations=1,
     )
-    parser.add_argument(
-        "--ga-trace-length", type=int,
-        default=max(2_000, int(6_000 * _scale())),
-        help="fitness trace length for the GA timing",
+    benchmark.extra_info["generation_speedup"] = row["generation_speedup"]
+    benchmark.extra_info["surrogate_score_per_sec"] = row[
+        "surrogate_score_per_sec"
+    ]
+    # Skipping ~90% of the simulations must beat simulating everyone
+    # (measure_population_surrogate already asserts bit-identity of
+    # the survivors' fitness).
+    assert row["generation_speedup"] > 1.0
+
+
+def test_kernel_ga_generation(benchmark):
+    # Note: each *new* k=16 vector pays a ~20 ms table compile, so the
+    # LUT only wins once traces are long enough to amortize it (tiny
+    # REPRO_SCALE runs may not be).  The
+    # assertion here is the determinism contract — same evolved best
+    # across kernels — which measure_ga_generation itself enforces.
+    trace_length = max(2_000, int(4_000 * _scale()))
+    row = benchmark.pedantic(
+        measure_ga_generation,
+        kwargs={"trace_length": trace_length},
+        rounds=1, iterations=1,
     )
-    parser.add_argument(
-        "--history", default=None, metavar="PATH",
-        help="perf-trend history file to append to (default: repo root "
-             "BENCH_history.jsonl or $REPRO_TREND_HISTORY); --no-history "
-             "disables recording",
-    )
-    parser.add_argument(
-        "--no-history", action="store_true",
-        help="skip appending this run to the perf-trend history",
-    )
-    args = parser.parse_args(argv)
-
-    results = collect(args.accesses, args.ga_trace_length)
-    out = Path(args.out)
-    with open(out, "w") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-    from repro.obs.provenance import build_manifest, write_manifest
-
-    write_manifest(
-        out,
-        build_manifest(
-            extra={"bench": "kernel-throughput", "output": str(out)}
-        ),
-    )
-
-    print(f"== kernel throughput ({args.accesses} accesses/stream) ==")
-    for row in results["sim_throughput"]:
-        line = (
-            f"  k={row['assoc']:>2}: walk {row['walk_accesses_per_sec']:>12,.0f}"
-            f" acc/s | lut {row['lut_accesses_per_sec']:>12,.0f} acc/s"
-            f" | {row['speedup']:.2f}x | misses {row['misses']}"
-        )
-        if "columnar_speedup" in row:
-            line += (
-                f" | columnar {row['columnar_accesses_per_sec']:>12,.0f}"
-                f" acc/s ({row['columnar_speedup']:.2f}x)"
-            )
-        print(line)
-    pop = results.get("population_batch")
-    if pop is not None:
-        print(
-            f"  population k={pop['assoc']} x{pop['lanes']} lanes:"
-            f" walk {pop['walk_sec']:.2f}s"
-            f" | columnar {pop['columnar_sec']:.2f}s"
-            f" | {pop['speedup']:.1f}x"
-            f" | {pop['lane_accesses_per_sec']:,.0f} lane-acc/s"
-        )
-    sur = results.get("population_surrogate")
-    if sur is not None:
-        rho = ("n/a" if sur["audit_rho"] is None
-               else f"{sur['audit_rho']:+.3f}")
-        rho_lru = ("n/a" if sur.get("audit_rho_lru") is None
-                   else f"{sur['audit_rho_lru']:+.3f}")
-        print(
-            f"  surrogate x{sur['population']} candidates:"
-            f" score {sur['surrogate_score_per_sec']:,.0f} cand/s"
-            f" | simulate-all {sur['simulate_all_sec']:.2f}s"
-            f" | prefiltered {sur['prefiltered_sec']:.2f}s"
-            f" | {sur['generation_speedup']:.1f}x"
-            f" | audit rho {rho} (vs lru substrate {rho_lru})"
-        )
-    prof = results.get("analytics_profile")
-    if prof is not None:
-        print(
-            f"  analytics profile: {prof['profile_accesses_per_sec']:,.0f}"
-            f" acc/s | oracle {prof['oracle_accesses_per_sec']:,.0f} acc/s"
-            f" | {prof['speedup_vs_oracle']:.1f}x"
-            f" | footprint {prof['footprint']}"
-        )
-    ga = results["ga_generation"]
-    print(
-        f"  GA generation: walk {ga['walk_sec_per_generation']:.2f}s"
-        f" | lut {ga['lut_sec_per_generation']:.2f}s"
-        f" | {ga['speedup']:.2f}x | best {ga['best_entries']}"
-    )
-    print(f"wrote {out}")
-
-    if not args.no_history:
-        from repro.obs.trend import (
-            format_deltas,
-            latest_deltas,
-            record_bench_kernels,
-        )
-
-        history = args.history  # None -> default_history_path()
-        entry = record_bench_kernels(out, history)
-        from repro.obs.trend import default_history_path
-
-        history_path = history if history is not None else default_history_path()
-        print(f"trend: recorded {len(entry['metrics'])} metrics "
-              f"@ {entry['git_revision'][:12]} -> {history_path}")
-        summary = latest_deltas(history_path, source="bench-kernels")
-        if summary is not None:
-            print(f"trend: vs previous ({summary['prev_revision'][:12]}):")
-            print(format_deltas(summary["deltas"]))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    benchmark.extra_info["speedup"] = row["speedup"]
+    benchmark.extra_info["best_entries"] = row["best_entries"]
+    assert row["walk_wall_sec"] > 0 and row["lut_wall_sec"] > 0

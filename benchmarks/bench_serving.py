@@ -7,61 +7,44 @@ per-access scalar loop (the Figure 5/7/9 bit-walk reference, one access
 at a time), asserting bit-identical miss counts on a shared sample.  A
 separate untimed pass replays the full stream under ``tracemalloc`` and
 reports post-warm-up heap growth: the bounded-memory claim, measured.
-A paired pass with SLO telemetry attached records the telemetry
-throughput ratio (the >= 95 % acceptance bar of the observability PR).
+The throughput case runs at 1, 2 and 4 shards, the sharding ablation.
 
-Runs two ways:
-
-* under pytest-benchmark as part of ``make bench`` (scaled down);
-* as a script (``make bench-serving``), writing ``BENCH_serving.json``
-  plus a provenance manifest sidecar at the repository root and
-  appending a ``bench-serving`` perf-trend row (the
-  ``serving_throughput_accesses_per_sec`` series) to
-  ``BENCH_history.jsonl`` — ``make trend-check`` guards it.
+Runs under pytest-benchmark as part of ``make bench``; ``make
+bench-check`` runs the same cases once each at a small ``REPRO_SCALE``
+with timing disabled, so the bit-identity assertions gate CI.  The
+repository benchmark of record for serving throughput is ``perfbench/``
+(``serving`` workload).
 
 ``REPRO_SCALE`` scales the stream length as in the other benches.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import sys
 import time
 import tracemalloc
-from pathlib import Path
 
-if __name__ == "__main__":  # script mode: make src importable
-    sys.path.insert(
-        0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-    )
+import pytest
 
-from repro.core.ipv import lru_ipv  # noqa: E402
-from repro.engine.scalar import ScalarStreamSimulator  # noqa: E402
-from repro.ga.fitness import simulate_misses_plru_ipv  # noqa: E402
-from repro.kernels import tables as ktables  # noqa: E402
-from repro.serve.frontend import ShardedFrontend  # noqa: E402
-from repro.serve.telemetry import ServeTelemetry  # noqa: E402
-from repro.serve.workload import (  # noqa: E402
+from repro.core.ipv import lru_ipv
+from repro.engine.scalar import ScalarStreamSimulator
+from repro.ga.fitness import simulate_misses_plru_ipv
+from repro.kernels import tables as ktables
+from repro.serve.frontend import ShardedFrontend
+from repro.serve.workload import (
     ServingSpec,
     ServingStream,
     auto_flash_phases,
 )
 
-#: Default stream length (script mode) — the ISSUE's >= 10M-access bar.
-DEFAULT_ACCESSES = 10_000_000
 NUM_SETS = 1024
 ASSOC = 16
-#: Headline shard count.  More shards mean more lockstep steps per chunk
-#: (each shard sees a narrower set range), so on a single process two
-#: shards is the throughput sweet spot; the shard sweep below records
-#: {1, 2, 4} so the scaling story stays visible in the JSON.
+#: Default shard count.  More shards mean more lockstep steps per chunk
+#: (each shard sees a narrower set range); ``test_serving_throughput``
+#: runs each of :data:`SHARD_SWEEP` so the scaling stays measured.
 SHARDS = 2
 SHARD_SWEEP = (1, 2, 4)
 CHUNK_ACCESSES = 1 << 16
-#: Accesses in the bit-identity / scalar-baseline sample.
-SAMPLE_ACCESSES = 1_000_000
 ENTRIES = tuple(lru_ipv(ASSOC).entries)
 
 
@@ -84,11 +67,7 @@ def bench_spec(accesses: int) -> ServingSpec:
     )
 
 
-def measure_serving_throughput(
-    accesses: int,
-    shards: int = SHARDS,
-    chunk_accesses: int = CHUNK_ACCESSES,
-) -> dict:
+def measure_serving_throughput(accesses: int, shards: int = SHARDS) -> dict:
     """Timed end-to-end pass: generation + binning + simulation."""
     spec = bench_spec(accesses)
     frontend = ShardedFrontend(
@@ -97,7 +76,7 @@ def measure_serving_throughput(
     stream = ServingStream(spec)
     t0 = time.perf_counter()
     misses = 0
-    for chunk in stream.chunks(chunk_accesses):
+    for chunk in stream.chunks(CHUNK_ACCESSES):
         misses += frontend.process(chunk)
     wall = time.perf_counter() - t0
     assert frontend.accesses == accesses
@@ -109,59 +88,16 @@ def measure_serving_throughput(
         "shards": shards,
         "engine": frontend.engine,
         "backend": stream.backend,
-        "chunk_accesses": chunk_accesses,
+        "chunk_accesses": CHUNK_ACCESSES,
         "wall_sec": wall,
         "accesses_per_sec": accesses / wall,
         "retired_keys": stream.retired,
     }
 
 
-def measure_telemetry_overhead(
-    accesses: int,
-    shards: int = SHARDS,
-    chunk_accesses: int = CHUNK_ACCESSES,
+def measure_scalar_baselines(
+    accesses: int, sample: int, shards: int = SHARDS
 ) -> dict:
-    """Timed pass with SLO telemetry attached vs the plain drain loop.
-
-    Telemetry is fed once per engine batch (HDR histograms, sliding
-    windows, drift detection), so the enabled run must sustain >= 95 %
-    of the plain run's throughput — the PR's acceptance bar.  Misses
-    must be bit-identical: observing a run never changes it.
-    """
-    spec = bench_spec(accesses)
-
-    def run(telemetry):
-        frontend = ShardedFrontend(
-            NUM_SETS, ASSOC, ENTRIES, shards=shards, engine="auto",
-            telemetry=telemetry,
-        )
-        stream = ServingStream(spec)
-        t0 = time.perf_counter()
-        misses = 0
-        for chunk in stream.chunks(chunk_accesses):
-            misses += frontend.process(chunk)
-        return misses, time.perf_counter() - t0
-
-    plain_misses, plain_sec = run(None)
-    telem = ServeTelemetry(shards)
-    telem_misses, telem_sec = run(telem)
-    telem.finalize()
-    assert telem_misses == plain_misses, (
-        f"telemetry changed misses: {telem_misses} != {plain_misses}"
-    )
-    ratio = plain_sec / telem_sec if telem_sec > 0 else 1.0
-    return {
-        "accesses": accesses,
-        "shards": shards,
-        "plain_accesses_per_sec": accesses / plain_sec,
-        "telemetry_accesses_per_sec": accesses / telem_sec,
-        "throughput_ratio": ratio,
-        "windows_closed": telem.windows.windows_closed,
-        "meets_95pct": ratio >= 0.95,
-    }
-
-
-def measure_scalar_baselines(accesses: int, sample: int) -> dict:
     """The per-access scalar loop on a sample prefix, end to end.
 
     Two flavours, both one-access-at-a-time Python loops over the same
@@ -169,7 +105,8 @@ def measure_scalar_baselines(accesses: int, sample: int) -> dict:
     per-access scalar loop proper — every access walks the tree) and the
     LUT-stepped :class:`ScalarStreamSimulator` (the no-numpy serving
     fallback).  Rates include generation time, like the serving number.
-    Miss counts of all paths over the prefix must agree exactly.
+    Miss counts of all paths over the prefix, and of the front-end at
+    ``shards`` shards, must agree exactly.
     """
     sample = min(sample, accesses)
     spec = bench_spec(accesses).with_accesses(sample)
@@ -199,7 +136,7 @@ def measure_scalar_baselines(accesses: int, sample: int) -> dict:
     assert scalar_misses == walk_misses
 
     sharded = ShardedFrontend(
-        NUM_SETS, ASSOC, ENTRIES, shards=SHARDS, engine="auto"
+        NUM_SETS, ASSOC, ENTRIES, shards=shards, engine="auto"
     )
     for lo in range(0, sample, CHUNK_ACCESSES):
         sharded.process(prefix[lo:lo + CHUNK_ACCESSES])
@@ -218,11 +155,11 @@ def measure_scalar_baselines(accesses: int, sample: int) -> dict:
     }
 
 
-def measure_flat_memory(accesses: int, shards: int = SHARDS) -> dict:
+def measure_flat_memory(accesses: int) -> dict:
     """Untimed tracemalloc replay: post-warm-up heap growth in bytes."""
     spec = bench_spec(accesses)
     frontend = ShardedFrontend(
-        NUM_SETS, ASSOC, ENTRIES, shards=shards, engine="auto"
+        NUM_SETS, ASSOC, ENTRIES, shards=SHARDS, engine="auto"
     )
     stream = ServingStream(spec)
     warm = max(CHUNK_ACCESSES, accesses // 8)
@@ -250,209 +187,40 @@ def measure_flat_memory(accesses: int, shards: int = SHARDS) -> dict:
     }
 
 
-def measure_shard_sweep(accesses: int) -> list:
-    """Throughput at each sweep shard count on a shared shorter stream.
-
-    Miss counts must agree exactly across shard counts — sharding is a
-    layout choice, never a semantic one.
-    """
-    rows = [
-        measure_serving_throughput(accesses, shards=s)
-        for s in SHARD_SWEEP
-    ]
-    misses = {row["misses"] for row in rows}
-    assert len(misses) == 1, f"shard counts diverged: {sorted(misses)}"
-    return rows
-
-
-def collect(accesses: int, sample: int = SAMPLE_ACCESSES,
-            memory_accesses: int = 0, shards: int = SHARDS) -> dict:
-    serving = measure_serving_throughput(accesses, shards=shards)
-    baselines = measure_scalar_baselines(accesses, sample)
-    sweep = measure_shard_sweep(min(accesses, 2_000_000))
-    memory = measure_flat_memory(memory_accesses or accesses)
-    telemetry = measure_telemetry_overhead(accesses, shards=shards)
-    speedup = (
-        serving["accesses_per_sec"] / baselines["walk_accesses_per_sec"]
-    )
-    return {
-        "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z",
-                                    time.localtime()),
-        "geometry": {"num_sets": NUM_SETS, "assoc": ASSOC,
-                     "policy": "lru"},
-        "spec": bench_spec(accesses).digest_payload(),
-        "serving": serving,
-        "scalar_baselines": baselines,
-        "shard_sweep": sweep,
-        "memory": memory,
-        "telemetry": telemetry,
-        "speedup_vs_walk": speedup,
-        "meets_5x": speedup >= 5.0,
-    }
-
-
-def trend_metrics(results: dict) -> dict:
-    """Flatten a BENCH_serving.json payload into perf-trend metrics."""
-    return {
-        "serving_throughput_accesses_per_sec":
-            results["serving"]["accesses_per_sec"],
-        "serving_scalar_walk_accesses_per_sec":
-            results["scalar_baselines"]["walk_accesses_per_sec"],
-        "serving_speedup": results["speedup_vs_walk"],
-        "serving_heap_growth_bytes":
-            results["memory"]["heap_growth_bytes"],
-        "serving_telemetry_ratio":
-            results["telemetry"]["throughput_ratio"],
-        **{
-            f"serving_shard{row['shards']}_accesses_per_sec":
-                row["accesses_per_sec"]
-            for row in results.get("shard_sweep", ())
-        },
-    }
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--out",
-        default=str(Path(__file__).resolve().parent.parent
-                    / "BENCH_serving.json"),
-        help="output JSON path (default: repo root BENCH_serving.json)",
-    )
-    parser.add_argument(
-        "--accesses", type=int,
-        default=max(500_000, int(DEFAULT_ACCESSES * _scale())),
-        help="stream length for the timed serving pass",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=SHARDS,
-        help="shard count for the headline timed pass",
-    )
-    parser.add_argument(
-        "--sample", type=int, default=SAMPLE_ACCESSES,
-        help="sample length for the scalar baselines + bit-identity",
-    )
-    parser.add_argument(
-        "--memory-accesses", type=int, default=0, metavar="N",
-        help="stream length for the tracemalloc pass (default: same as "
-             "--accesses)",
-    )
-    parser.add_argument(
-        "--history", default=None, metavar="PATH",
-        help="perf-trend history file to append to (default: repo root "
-             "BENCH_history.jsonl or $REPRO_TREND_HISTORY); --no-history "
-             "disables recording",
-    )
-    parser.add_argument(
-        "--no-history", action="store_true",
-        help="skip appending this run to the perf-trend history",
-    )
-    args = parser.parse_args(argv)
-
-    results = collect(args.accesses, args.sample, args.memory_accesses,
-                      shards=args.shards)
-    out = Path(args.out)
-    with open(out, "w") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-    from repro.obs.provenance import build_manifest, write_manifest
-
-    write_manifest(
-        out,
-        build_manifest(extra={"bench": "serving", "output": str(out)}),
-    )
-
-    serving = results["serving"]
-    base = results["scalar_baselines"]
-    mem = results["memory"]
-    print(f"== serving throughput ({serving['accesses']:,} accesses, "
-          f"{serving['shards']} shards, {serving['engine']}) ==")
-    print(f"  serving   {serving['accesses_per_sec']:>12,.0f} acc/s "
-          f"end-to-end | miss rate {serving['miss_rate']:.4f}")
-    print(f"  walk loop {base['walk_accesses_per_sec']:>12,.0f} acc/s "
-          f"(per-access scalar reference, {base['sample_accesses']:,}"
-          f"-access sample)")
-    print(f"  scalar    {base['scalar_stream_accesses_per_sec']:>12,.0f}"
-          f" acc/s (LUT stream fallback)")
-    for row in results["shard_sweep"]:
-        print(f"  sweep     {row['accesses_per_sec']:>12,.0f} acc/s "
-              f"@ {row['shards']} shard(s) "
-              f"({row['accesses']:,}-access stream)")
-    print(f"  speedup vs per-access scalar loop: "
-          f"{results['speedup_vs_walk']:.2f}x "
-          f"({'meets' if results['meets_5x'] else 'BELOW'} the 5x bar)")
-    print(f"  heap growth after warm-up: "
-          f"{mem['heap_growth_bytes'] / 2**20:.2f} MiB "
-          f"({'flat' if mem['flat'] else 'NOT FLAT'})")
-    telem = results["telemetry"]
-    print(f"  telemetry {telem['telemetry_accesses_per_sec']:>12,.0f}"
-          f" acc/s with SLO telemetry attached "
-          f"({telem['throughput_ratio']:.1%} of plain, "
-          f"{'meets' if telem['meets_95pct'] else 'BELOW'} the 95% bar, "
-          f"{telem['windows_closed']} windows)")
-    print(f"wrote {out}")
-
-    if not args.no_history:
-        from repro.obs.trend import default_history_path, record_entry
-
-        history = args.history or default_history_path()
-        entry = record_entry(
-            history,
-            trend_metrics(results),
-            source="bench-serving",
-            extra={
-                "accesses": serving["accesses"],
-                "shards": serving["shards"],
-                "engine": serving["engine"],
-            },
-        )
-        print(f"recorded {len(entry['metrics'])} metrics "
-              f"@ {entry['git_revision'][:12]} -> {history}")
-    return 0
-
-
 # ----------------------------------------------------------------------
 # pytest-benchmark entry points (part of ``make bench``).
 # ----------------------------------------------------------------------
-try:
-    import pytest
-except ImportError:  # pragma: no cover - script mode without pytest
-    pytest = None
-
-if pytest is not None:
-
-    def test_serving_throughput(benchmark):
-        accesses = max(100_000, int(400_000 * _scale()))
-        row = benchmark.pedantic(
-            measure_serving_throughput,
-            kwargs={"accesses": accesses},
-            rounds=1, iterations=1,
-        )
-        baselines = measure_scalar_baselines(accesses, accesses // 4)
-        speedup = (
-            row["accesses_per_sec"] / baselines["walk_accesses_per_sec"]
-        )
-        benchmark.extra_info["accesses_per_sec"] = row["accesses_per_sec"]
-        benchmark.extra_info["speedup_vs_walk"] = speedup
-        # Batched serving must beat the per-access loop even at
-        # smoke scale; the 5x bar applies to the full script run.
-        assert speedup > 1.0
-
-    def test_serving_memory_flat(benchmark):
-        accesses = max(100_000, int(400_000 * _scale()))
-        row = benchmark.pedantic(
-            measure_flat_memory,
-            kwargs={"accesses": accesses},
-            rounds=1, iterations=1,
-        )
-        benchmark.extra_info["heap_growth_bytes"] = row[
-            "heap_growth_bytes"
-        ]
-        assert row["flat"], (
-            f"heap grew {row['heap_growth_bytes'] / 2**20:.1f} MiB"
-        )
+@pytest.mark.parametrize("shards", SHARD_SWEEP)
+def test_serving_throughput(benchmark, shards):
+    accesses = max(100_000, int(400_000 * _scale()))
+    row = benchmark.pedantic(
+        measure_serving_throughput,
+        kwargs={"accesses": accesses, "shards": shards},
+        rounds=1, iterations=1,
+    )
+    # Sharding is a layout choice, never a semantic one: at every shard
+    # count the front-end matches the single-cache walk on the sample.
+    baselines = measure_scalar_baselines(accesses, accesses // 4, shards)
+    speedup = (
+        row["accesses_per_sec"] / baselines["walk_accesses_per_sec"]
+    )
+    benchmark.extra_info["accesses_per_sec"] = row["accesses_per_sec"]
+    benchmark.extra_info["speedup_vs_walk"] = speedup
+    # Batched serving must beat the per-access loop even at smoke scale.
+    assert speedup > 1.0
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def test_serving_memory_flat(benchmark):
+    accesses = max(100_000, int(400_000 * _scale()))
+    row = benchmark.pedantic(
+        measure_flat_memory,
+        kwargs={"accesses": accesses},
+        rounds=1, iterations=1,
+    )
+    benchmark.extra_info["heap_growth_bytes"] = row[
+        "heap_growth_bytes"
+    ]
+    assert row["flat"], (
+        f"heap grew {row['heap_growth_bytes'] / 2**20:.1f} MiB"
+    )
+

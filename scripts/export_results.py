@@ -10,7 +10,6 @@ Run:  python scripts/export_results.py [--outdir DIR] [--length N]
 
 import argparse
 import csv
-import json
 import os
 import sys
 
@@ -63,59 +62,6 @@ FIGURES = {
 }
 
 
-def _kernel_bench_summary():
-    """Compact summary of ``BENCH_kernels.json`` (see ``make bench-kernels``).
-
-    Embedded in every figure manifest so the provenance record states which
-    measured kernel speedups accompanied the exported numbers; ``None``
-    when the bench has not been run.
-    """
-    path = os.path.join(os.path.dirname(__file__), "..", "BENCH_kernels.json")
-    try:
-        with open(path) as handle:
-            data = json.load(handle)
-    except (OSError, ValueError):
-        return None
-    return {
-        "created_at": data.get("created_at"),
-        "sim_speedups": {
-            f"k={row['assoc']}": round(row["speedup"], 3)
-            for row in data.get("sim_throughput", [])
-        },
-        "ga_generation_speedup": round(
-            data.get("ga_generation", {}).get("speedup", 0.0), 3
-        ),
-    }
-
-
-def _trend_summary():
-    """Latest perf-trend deltas (``BENCH_history.jsonl``), or ``None``.
-
-    Embedded next to ``kernel_bench`` in the figure manifests: the
-    provenance record then answers not just "how fast were the kernels"
-    but "had they just regressed" when the figures were exported.
-    """
-    from repro.obs.trend import default_history_path, latest_deltas
-
-    try:
-        summary = latest_deltas(default_history_path(),
-                                source="bench-kernels")
-    except (OSError, ValueError):
-        return None
-    if summary is None:
-        return None
-    return {
-        "prev_revision": summary["prev_revision"],
-        "cur_revision": summary["cur_revision"],
-        "threshold": summary["threshold"],
-        "regressions": [d["metric"] for d in summary["regressions"]],
-        "deltas": {
-            d["metric"]: round(d["delta_frac"], 4)
-            for d in summary["deltas"]
-        },
-    }
-
-
 def export_figure(name, specs, metric, config, outdir, workers, cache=None):
     suite = run_suite(specs, config=config, workers=workers, cache=cache)
     print(f"[repro-eval] {name}: {suite.metrics.summary()}", file=sys.stderr)
@@ -139,9 +85,7 @@ def export_figure(name, specs, metric, config, outdir, workers, cache=None):
     write_manifest(path, build_manifest(
         config=config,
         extra={"figure": name, "metric": metric,
-               "policies": [s.label for s in specs],
-               "kernel_bench": _kernel_bench_summary(),
-               "kernel_trend": _trend_summary()},
+               "policies": [s.label for s in specs]},
     ))
     print(f"wrote {path} (+ manifest)")
 

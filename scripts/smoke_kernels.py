@@ -8,8 +8,9 @@ actually fast:
    recompilation;
 2. a randomized access stream produces bit-identical miss counts on the
    table path and the Figure 5/7/9 bit-walk fallback, for every k;
-3. the LUT path is at least 2x faster than the walk at k=16 (the full
-   bench, ``make bench-kernels``, measures the headline >=3x);
+3. the LUT path is at least 2x faster than the walk at k=16
+   (``benchmarks/bench_kernel_throughput.py`` times the same pair for
+   k in {4, 8, 16} under ``make bench``);
 4. the policy objects agree: a GIPPR run on tables and one on the walk
    produce identical CacheStats;
 5. the figure-matrix dispatch pays: on 20k-access simpoint traces,

@@ -49,7 +49,6 @@ itself.  Callers choose: :meth:`repro.ga.fitness.FitnessEvaluator.evaluate_many`
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.dueling import assign_leader_sets
@@ -65,7 +64,6 @@ __all__ = [
     "ColumnarTrace",
     "ColumnarUnavailable",
     "DuelBatchSimulator",
-    "columnar_config",
     "columnar_supported",
     "require_numpy",
     "resolve_batch_accesses",
@@ -75,45 +73,30 @@ __all__ = [
 #: Accesses per preprocessing chunk.  Bounds the transposed layout's
 #: working memory to O(chunk) regardless of trace length (the streaming
 #: ingestion path feeds chunks of this size), while keeping the per-chunk
-#: numpy call overhead amortized.  Chosen from the bench-kernels chunk
-#: sweep: throughput is flat from ~16k up (the transpose is
-#: bincount/argsort-bound), so the smallest flat point wins on memory.
+#: numpy call overhead amortized.  The value is not backed by a
+#: measurement: no bench sweeps the chunk size.  It is not a result knob
+#: (``tests/engine/test_columnar.py`` checks that chunking is
+#: bit-identical), and the goldens pass their own ``batch_accesses``.
 DEFAULT_BATCH_ACCESSES = 1 << 16
 
 #: Batches go through this engine only at or above this many lanes —
-#: below it the per-run numpy setup outweighs the amortized trace pass and
-#: the scalar executor wins (bench-kernels ``population_scaling`` row: the
-#: crossover sits between 2 and 8 lanes on every host measured).
+#: below it the per-run numpy setup outweighs the amortized trace pass.
+#: ``benchmarks/bench_kernel_throughput.py::test_kernel_population_batch``
+#: times one columnar pass (trace preprocessing included) against the
+#: per-lane scalar table executor at 8k accesses, 64 sets x 16 ways, best
+#: of 7; three runs on a 2-CPU host read 0.96-1.00x at 2 lanes, 1.45-2.0x
+#: at 4 and 2.2-2.4x at 8.
 MIN_BATCH_LANES = 4
 
 
-def _env_positive_int(name: str) -> Optional[int]:
-    """``$name`` as a positive int, or ``None`` (unset/blank/invalid)."""
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
-
-
 def resolve_batch_accesses(value: Optional[int] = None) -> int:
-    """Columnar chunk size: kwarg > ``$REPRO_COLUMNAR_BATCH_ACCESSES`` >
-    :data:`DEFAULT_BATCH_ACCESSES`.  Pure env parsing — works (and is
-    recorded in build manifests) even when numpy is absent."""
-    if value is not None:
-        if value < 1:
-            raise ValueError("batch_accesses must be positive")
-        return int(value)
-    env = _env_positive_int("REPRO_COLUMNAR_BATCH_ACCESSES")
-    return env if env is not None else DEFAULT_BATCH_ACCESSES
-
-
-def columnar_config() -> dict:
-    """The effective columnar tuning knobs (for build manifests)."""
-    return {"batch_accesses": resolve_batch_accesses()}
+    """Columnar chunk size: ``value`` if given, else
+    :data:`DEFAULT_BATCH_ACCESSES`."""
+    if value is None:
+        return DEFAULT_BATCH_ACCESSES
+    if value < 1:
+        raise ValueError("batch_accesses must be positive")
+    return int(value)
 
 #: Default hit-depth sampling stride for :class:`BatchCounters`: depths
 #: are decoded on every ``depth_sample``-th lockstep step (a systematic

@@ -8,8 +8,7 @@ See :mod:`repro.kernels.tables` for the design.  Quick use::
     new_state = t.hit[(state << t.log2k) | way]
 
 ``docs/PERFORMANCE.md`` documents the table layout, memory cost, the
-compile cache and measured speedups; ``make bench-kernels`` regenerates
-``BENCH_kernels.json`` and ``make smoke-kernels`` runs the fast
+compile cache and measured speedups; ``make smoke-kernels`` runs the fast
 equivalence + throughput gate.
 """
 

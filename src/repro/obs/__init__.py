@@ -39,9 +39,6 @@ zero-overhead when disabled:
 * :mod:`repro.obs.export_http` — a stdlib ``http.server`` OpenMetrics
   scrape endpoint over any metrics registry (``repro serve
   --metrics-port``, ``repro obs serve-metrics``).
-* :mod:`repro.obs.trend` — append-only ``BENCH_history.jsonl`` perf
-  history keyed by git revision, with a regression comparator behind
-  ``repro obs trend --check``.
 * :mod:`repro.obs.analytics` — cache-dynamics analytics: the vectorized
   Mattson miss-curve/stack-distance profiler, columnar-engine counter
   flushing, GA convergence telemetry, and the ``repro obs analyze``
@@ -118,12 +115,6 @@ from .status import (
 )
 from .tracer import Tracer, registry_from_events, replay_counts
 from .windows import DriftDetector, SlidingWindows
-from .trend import (
-    compare_entries,
-    latest_deltas,
-    record_bench_kernels,
-    record_entry,
-)
 
 __all__ = [
     "ConvergenceLog",
@@ -158,10 +149,6 @@ __all__ = [
     "MetricsServer",
     "OPENMETRICS_CONTENT_TYPE",
     "openmetrics_text",
-    "compare_entries",
-    "latest_deltas",
-    "record_bench_kernels",
-    "record_entry",
     "EVENT_KINDS",
     "EVENT_SCHEMA",
     "TraceEvent",

@@ -20,7 +20,6 @@ from repro.engine.columnar import (
     ColumnarTrace,
     ColumnarUnavailable,
     DuelBatchSimulator,
-    columnar_config,
     columnar_supported,
     require_numpy,
     resolve_batch_accesses,
@@ -270,50 +269,34 @@ class TestValidation:
 
 
 class TestConfigResolution:
-    """The chunk-size knob: kwarg > environment > default."""
+    """The chunk size: the ``batch_accesses`` kwarg, else the default."""
 
-    def test_defaults(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COLUMNAR_BATCH_ACCESSES", raising=False)
+    def test_defaults(self):
         assert resolve_batch_accesses() == DEFAULT_BATCH_ACCESSES
-        assert columnar_config() == {"batch_accesses": DEFAULT_BATCH_ACCESSES}
-
-    def test_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COLUMNAR_BATCH_ACCESSES", "2048")
-        assert resolve_batch_accesses() == 2048
-        assert columnar_config() == {"batch_accesses": 2048}
-
-    def test_kwarg_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COLUMNAR_BATCH_ACCESSES", "2048")
         assert resolve_batch_accesses(512) == 512
-
-    @pytest.mark.parametrize("raw", ["", "  ", "abc", "0", "-5", "1.5"])
-    def test_invalid_env_falls_back(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_COLUMNAR_BATCH_ACCESSES", raw)
-        assert resolve_batch_accesses() == DEFAULT_BATCH_ACCESSES
 
     def test_invalid_kwarg_raises(self):
         with pytest.raises(ValueError, match="batch_accesses"):
             resolve_batch_accesses(0)
 
     @pytest.mark.skipif(numpy_missing, reason="columnar engine needs numpy")
-    def test_trace_resolves_chunk_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COLUMNAR_BATCH_ACCESSES", "8")
-        trace = ColumnarTrace(list(range(20)), 16)
+    def test_trace_chunks_by_batch_accesses(self):
+        trace = ColumnarTrace(list(range(20)), 16, batch_accesses=8)
         assert trace.batch_accesses == 8
         assert len(trace.chunks) == 3  # 8 + 8 + ragged 4
-        explicit = ColumnarTrace(list(range(20)), 16, batch_accesses=16)
-        assert explicit.batch_accesses == 16
-        assert len(explicit.chunks) == 2
+        default = ColumnarTrace(list(range(20)), 16)
+        assert default.batch_accesses == DEFAULT_BATCH_ACCESSES
+        assert len(default.chunks) == 1
 
     @pytest.mark.skipif(numpy_missing, reason="columnar engine needs numpy")
-    def test_chunking_is_bit_identical(self, monkeypatch):
+    def test_chunking_is_bit_identical(self):
         """The chunk size is a memory/throughput knob, never a result knob."""
         addresses = make_stream(600, 16, 4, seed=3)
         lanes = [stress_ipv(4), lru_ipv(4)]
         simulator = BatchSimulator(16, 4, lanes, warmup=50)
         baseline = list(simulator.run(ColumnarTrace(addresses, 16)))
-        monkeypatch.setenv("REPRO_COLUMNAR_BATCH_ACCESSES", "64")
-        assert list(simulator.run(ColumnarTrace(addresses, 16))) == baseline
+        chunked = ColumnarTrace(addresses, 16, batch_accesses=64)
+        assert list(simulator.run(chunked)) == baseline
 
 
 class TestNoNumpy:

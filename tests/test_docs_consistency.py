@@ -46,6 +46,29 @@ class TestDesignIndex:
             ), f"DESIGN.md references missing module {module}"
 
 
+class TestBuildWiring:
+    """CI and the Makefile must not point at targets or files that are gone."""
+
+    def test_ci_make_targets_exist(self):
+        ci = _read(os.path.join(".github", "workflows", "ci.yml"))
+        used = set(re.findall(r"\bmake\s+([A-Za-z0-9_-]+)", ci))
+        assert used, "ci.yml no longer runs any make target"
+        defined = set(re.findall(r"^([A-Za-z0-9_-]+):", _read("Makefile"), re.M))
+        missing = used - defined
+        assert not missing, f"ci.yml runs undefined make targets: {missing}"
+
+    def test_makefile_recipe_paths_exist(self):
+        recipes = "\n".join(
+            line for line in _read("Makefile").splitlines()
+            if line.startswith("\t")
+        )
+        paths = set(re.findall(r"\b(?:scripts|benchmarks)/[A-Za-z0-9_./-]*",
+                               recipes))
+        assert paths, "no Makefile recipe runs a script or bench"
+        missing = {p for p in paths if not os.path.exists(os.path.join(REPO, p))}
+        assert not missing, f"Makefile recipes run missing paths: {missing}"
+
+
 class TestExperimentsReport:
     def test_every_figure_covered(self):
         experiments = _read("EXPERIMENTS.md")
